@@ -6,6 +6,9 @@ word products and of their exp/log-conjugated cone maps, and certifies the
 mod-q congruences generated by infinite words.
 """
 
+# first, so that modules imported below can report it
+__version__ = "0.1.0"
+
 from .collection import MatrixCollection
 from .conemaps import (
     ConeMap,
@@ -78,7 +81,6 @@ from .words import (
     word_product,
 )
 
-__version__ = "0.1.0"
 
 __all__ = [
     "MatrixCollection",

@@ -15,7 +15,8 @@ import sys
 
 import numpy as np
 
-from . import conemaps, corpus, infinite, numeric, reporting, structure, words
+from . import (__version__, conemaps, corpus, infinite, numeric, reporting,
+               structure, words)
 from .exceptions import MatwordError, NotPeriodic, ParseError
 
 EXIT_OK = 0
@@ -62,11 +63,13 @@ def _vector_arg(text, n, what):
 
 
 class _QueryContext:
-    """Lazily computed shared analysis state for one input document."""
+    """Shared analysis state for one input document: the validation
+    ``main`` already ran, and the lazily computed common eigensystem."""
 
-    def __init__(self, collection, settings):
+    def __init__(self, collection, settings, validation):
         self.collection = collection
         self.settings = settings
+        self.validation = validation
         self._system = None
 
     @property
@@ -154,11 +157,10 @@ def query_cone_limit(ctx, args):
 
 
 def query_classify(ctx, args):
-    validation = reporting.validate(ctx.collection, ctx.settings)
     return {
         "query": "classify",
-        "classification": validation["classification"],
-        "pair_classifications": validation["pair_classifications"],
+        "classification": ctx.validation["classification"],
+        "pair_classifications": ctx.validation["pair_classifications"],
         "tolerances": ctx.settings.as_dict(),
     }, True
 
@@ -175,6 +177,8 @@ def query_eigensystem(ctx, args):
 def query_q2(ctx, args):
     tau = _tau_from_arg(args.tau, ctx.collection)
     x = _vector_arg(args.x, ctx.collection.n, "--x")
+    if args.budget is not None and args.budget < 1:
+        raise ParseError(f"--budget {args.budget} must be at least 1")
     cert = infinite.q2_certificate(
         ctx.collection, tau, x,
         search_budget=args.budget,
@@ -197,14 +201,39 @@ def query_q2(ctx, args):
     return fragment, fragment["all_residues_zero"]
 
 
-QUERY_HANDLERS = {
-    "limit": query_limit,
-    "period": query_period,
-    "cone-limit": query_cone_limit,
-    "classify": query_classify,
-    "eigensystem": query_eigensystem,
-    "q2": query_q2,
+_WORD = ("--word", {"required": True,
+                   "help": "string of matrix names, leftmost applied first"})
+_X = ("--x", {"required": True, "help": "comma-separated vector"})
+
+#: query name -> (handler, help, argument specs); both the subcommands and
+#: the ``analyze --query`` strings are parsed from these specs
+QUERIES = {
+    "limit": (query_limit, "limit of x under q-blocks of a word product",
+              [_WORD, _X]),
+    "period": (query_period, "limit and exact period of the limit point",
+               [_WORD, _X]),
+    "cone-limit": (query_cone_limit, "limit under the exp/log conjugated map", [
+        _WORD,
+        ("--y", {"required": True,
+                 "help": "comma-separated strictly positive vector"}),
+    ]),
+    "classify": (query_classify, "commutativity classification", []),
+    "eigensystem": (query_eigensystem,
+                    "common eigenvectors and eigenvalue table", []),
+    "q2": (query_q2, "congruence certificate along an infinite word", [
+        ("--tau", {"required": True,
+                   "help": "infinite word: periodic:<letters>, "
+                           "periodic:<pre>|<cycle>, or seed:<int>"}),
+        _X,
+        ("--budget", {"type": int, "default": None,
+                      "help": "prefix evaluation budget (default q**kappa + 1)"}),
+    ]),
 }
+
+
+def _add_query_args(parser, name):
+    for flag, spec in QUERIES[name][2]:
+        parser.add_argument(flag, **spec)
 
 
 def _add_common_flags(parser):
@@ -222,24 +251,9 @@ def _add_common_flags(parser):
                         default="human", help="report format")
 
 
-def _query_subparser(sub, name, help_text, wants_word=False, wants_x=False,
-                     wants_y=False, wants_tau=False):
+def _document_subparser(sub, name, help_text):
     p = sub.add_parser(name, help=help_text)
     p.add_argument("input", help="path of the collection document, or - for stdin")
-    if wants_word:
-        p.add_argument("--word", required=True,
-                       help="string of matrix names, leftmost applied first")
-    if wants_x:
-        p.add_argument("--x", required=True, help="comma-separated vector")
-    if wants_y:
-        p.add_argument("--y", required=True,
-                       help="comma-separated strictly positive vector")
-    if wants_tau:
-        p.add_argument("--tau", required=True,
-                       help="infinite word: periodic:<letters>, "
-                            "periodic:<pre>|<cycle>, or seed:<int>")
-        p.add_argument("--budget", type=int, default=None,
-                       help="prefix evaluation budget (default q**kappa + 1)")
     _add_common_flags(p)
     return p
 
@@ -251,17 +265,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _query_subparser(sub, "validate", "check input and hypotheses")
-    _query_subparser(sub, "limit", "limit of x under q-blocks of a word product",
-                     wants_word=True, wants_x=True)
-    _query_subparser(sub, "period", "limit and exact period of the limit point",
-                     wants_word=True, wants_x=True)
-    _query_subparser(sub, "cone-limit", "limit under the exp/log conjugated map",
-                     wants_word=True, wants_y=True)
-    _query_subparser(sub, "classify", "commutativity classification")
-    _query_subparser(sub, "eigensystem", "common eigenvectors and eigenvalue table")
-    _query_subparser(sub, "q2", "congruence certificate along an infinite word",
-                     wants_tau=True, wants_x=True)
+    _document_subparser(sub, "validate", "check input and hypotheses")
+    for name, (_, help_text, _) in QUERIES.items():
+        _add_query_args(_document_subparser(sub, name, help_text), name)
 
     analyze = sub.add_parser("analyze", help="run several queries in one report")
     analyze.add_argument("input", help="path of the collection document, or -")
@@ -279,21 +285,16 @@ def build_parser():
 
 
 def _parse_query_string(text):
-    tokens = shlex.split(text)
-    if not tokens or tokens[0] not in QUERY_HANDLERS:
+    try:
+        tokens = shlex.split(text)
+    except ValueError as exc:
+        raise ParseError(f"bad query {text!r}: {exc}") from None
+    if not tokens or tokens[0] not in QUERIES:
         raise ParseError(
-            f"unknown query {text!r}; expected one of {sorted(QUERY_HANDLERS)}"
+            f"unknown query {text!r}; expected one of {sorted(QUERIES)}"
         )
     qp = argparse.ArgumentParser(prog=tokens[0], add_help=False)
-    if tokens[0] in ("limit", "period", "cone-limit"):
-        qp.add_argument("--word", required=True)
-    if tokens[0] in ("limit", "period", "q2"):
-        qp.add_argument("--x", required=True)
-    if tokens[0] == "cone-limit":
-        qp.add_argument("--y", required=True)
-    if tokens[0] == "q2":
-        qp.add_argument("--tau", required=True)
-        qp.add_argument("--budget", type=int, default=None)
+    _add_query_args(qp, tokens[0])
     try:
         args = qp.parse_args(tokens[1:])
     except SystemExit:
@@ -317,7 +318,7 @@ def main(argv=None, stdout=None, stderr=None):
     if args.command == "paper-examples":
         results = corpus.run_paper_examples(name_filter=args.filter)
         report = {
-            "tool_version": reporting.TOOL_VERSION,
+            "tool_version": __version__,
             "corpus": [
                 {"example": name, "passed": passed, "detail": detail}
                 for name, passed, detail in results
@@ -375,11 +376,11 @@ def main(argv=None, stdout=None, stderr=None):
     else:
         requested = [(args.command, args)]
 
-    ctx = _QueryContext(collection, settings)
+    ctx = _QueryContext(collection, settings, validation)
     exit_code = EXIT_OK
     for name, qargs in requested:
         try:
-            fragment, ok = QUERY_HANDLERS[name](ctx, qargs)
+            fragment, ok = QUERIES[name][0](ctx, qargs)
         except ParseError as exc:
             stderr.write(f"input error: {exc}\n")
             return EXIT_INPUT

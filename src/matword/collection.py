@@ -1,10 +1,10 @@
 """A named, dimension-checked family of nonnegative square matrices."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import numeric, spectral
+from . import numeric
 from .exceptions import DimensionMismatch, InvalidLetter, ParseError
 
 
@@ -13,13 +13,11 @@ class MatrixCollection:
     """The finite family {A_1, ..., A_N} every analysis runs over.
 
     Names double as word letters on the command line, so each must be a
-    single character.  Matrices are stored read-only; all derived data is
-    computed on demand and cached per instance.
+    single character.  Matrices are stored read-only.
     """
 
     names: tuple
     matrices: tuple
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.names) == 0:
@@ -75,14 +73,3 @@ class MatrixCollection:
         if not 0 <= idx < self.N:
             raise InvalidLetter(f"letter index {idx} outside [0, {self.N})")
         return idx
-
-    def nonnegative_flags(self):
-        """Per-matrix exact nonnegativity."""
-        return tuple(numeric.is_nonnegative(M) for M in self.matrices)
-
-    def spectral_radii(self):
-        if "radii" not in self._cache:
-            self._cache["radii"] = tuple(
-                spectral.spectral_radius(M) for M in self.matrices
-            )
-        return self._cache["radii"]

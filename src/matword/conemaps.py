@@ -143,10 +143,10 @@ def cone_limit(collection, word, y, q, tol=1e-10, max_iter=100_000,
                bound=1e12, system=None):
     """Limit of f_w^{k q}(y), computed twice and cross-checked.
 
-    The iterative route applies f_w in q-blocks until the sup-norm step
-    falls below ``tol * (1 + |y|)``; the conjugated route exponentiates the
-    linear limit of log(y).  ``path_agreement`` records their relative
-    sup-norm distance (must be small whenever both converge).
+    The iterative route applies f_w in q-blocks under the convergence rule
+    of :func:`~matword.words.iterate_to_fixed_point`; the conjugated route
+    exponentiates the linear limit of log(y).  ``path_agreement`` records
+    their relative sup-norm distance (must be small whenever both converge).
 
     Convergence is guaranteed when log(y) lies in LC(E'); if a common
     eigensystem is supplied (or computable) and the membership test fails,
@@ -164,27 +164,14 @@ def cone_limit(collection, word, y, q, tol=1e-10, max_iter=100_000,
 
     maps = [ConeMap(M) for M in collection.matrices]
 
-    def f_word(z):
-        for letter in word.letters:
-            z = maps[letter].apply(z)
+    def f_word_q(z):
+        for _ in range(int(q)):
+            for letter in word.letters:
+                z = maps[letter].apply(z)
         return z
 
-    z = y.copy()
-    status = "max_iter"
-    iterations = int(max_iter)
-    residual = float("nan")
-    for k in range(1, int(max_iter) + 1):
-        z_next = z
-        for _ in range(int(q)):
-            z_next = f_word(z_next)
-        residual = float(np.max(np.abs(z_next - z)))
-        if not np.all(np.isfinite(z_next)) or np.max(np.abs(z_next)) > bound:
-            status, iterations, z = "diverged", k, z_next
-            break
-        if residual <= tol * (1.0 + float(np.max(np.abs(z)))):
-            status, iterations, z = "converged", k, z_next
-            break
-        z = z_next
+    z, iterations, residual, status = words.iterate_to_fixed_point(
+        f_word_q, y, tol, max_iter, bound)
 
     agreement = float("nan")
     if status == "converged":
@@ -201,15 +188,9 @@ def cone_limit(collection, word, y, q, tol=1e-10, max_iter=100_000,
 def cone_point_period(collection, word, eta, q, tol=1e-8):
     """Smallest divisor d of q with f_w^d(eta) = eta (relative sup norm)."""
     eta = np.asarray(eta, dtype=np.float64)
-    scale = 1.0 + float(np.max(np.abs(eta)))
-    z = eta.copy()
-    for d in range(1, int(q) + 1):
-        z = word_cone_apply(collection, word, z)
-        if q % d != 0:
-            continue
-        if float(np.max(np.abs(z - eta))) <= tol * scale:
-            return d
-    return None
+    atol = tol * (1.0 + float(np.max(np.abs(eta))))
+    return words.first_period(lambda z: word_cone_apply(collection, word, z),
+                              eta, q, atol)
 
 
 @dataclass(frozen=True)

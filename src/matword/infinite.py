@@ -132,10 +132,7 @@ def phi(tau, p):
     """Letter counts Phi_{tau, r}(p) over the first p letters."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    counts = np.zeros(tau.N, dtype=np.int64)
-    for i in range(int(p)):
-        counts[tau.letter(i)] += 1
-    return counts
+    return phi_table(tau, p)[int(p)]
 
 
 def phi_table(tau, p_max):
@@ -147,6 +144,14 @@ def phi_table(tau, p_max):
         table[p] = table[p - 1]
         table[p, tau.letter(p - 1)] += 1
     return table
+
+
+def _orbit_rows(M, xi, q):
+    """(xi, M xi, ..., M^{q-1} xi) stacked as a q x n array."""
+    rows = [xi]
+    for _ in range(int(q) - 1):
+        rows.append(numeric.mat_vec(M, rows[-1]))
+    return np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -175,19 +180,15 @@ def a_tilde(collection, word, q, x, tol=1e-10, max_iter=100_000, bound=1e12):
             f"(status {result.status})"
         )
     M = words.word_product(collection, word)
-    rows = [result.xi]
-    for _ in range(int(q) - 1):
-        rows.append(numeric.mat_vec(M, rows[-1]))
-    return OrbitTuple(components=np.array(rows), q=int(q))
+    return OrbitTuple(components=_orbit_rows(M, result.xi, q), q=int(q))
 
 
 def _check_q2_hypotheses(collection, tol):
     for r in range(collection.N):
         for s in range(r + 1, collection.N):
-            A, B = collection.matrices[r], collection.matrices[s]
-            C = structure.commutator(A, B)
-            scale = max(1.0, float(np.max(np.abs(A))) * float(np.max(np.abs(B))))
-            if float(np.max(np.abs(C))) > tol * scale:
+            commuting, _, _ = structure.commutator_test(
+                collection.matrices[r], collection.matrices[s], tol)
+            if not commuting:
                 raise HypothesesNotMet(
                     f"matrices {collection.names[r]} and {collection.names[s]} "
                     "do not commute"
@@ -291,10 +292,7 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=1e-8,
     M_p = words.word_product(collection, tau.prefix(m))
     for p in range(m + 1, m + search_budget):
         M_p = numeric.mat_mul(collection.matrices[tau.letter(p - 1)], M_p)
-        rows = [xi]
-        for _ in range(q - 1):
-            rows.append(numeric.mat_vec(M_p, rows[-1]))
-        tuples.append(np.array(rows))
+        tuples.append(_orbit_rows(M_p, xi, q))
 
     groups = _tuple_groups(tuples, tol_scale)
     groups.sort(key=lambda g: (-len(g), g[0]))

@@ -26,16 +26,12 @@ def parse_entry(value):
     The rational path goes through :class:`fractions.Fraction` so ``1/3``
     parses to the double nearest the exact rational.
     """
-    if isinstance(value, (int, float)):
-        entry = float(value)
-    elif isinstance(value, str):
-        text = value.strip()
-        try:
-            entry = float(Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"cannot parse matrix entry {value!r}") from exc
-    else:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ParseError(f"unsupported entry type {type(value).__name__!r}")
+    try:
+        entry = float(Fraction(value.strip()) if isinstance(value, str) else value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ParseError(f"cannot parse matrix entry {value!r}") from exc
     if not np.isfinite(entry):
         raise ParseError(f"entry {value!r} is not finite")
     return entry
@@ -55,6 +51,8 @@ def as_square_matrix(entries, what="matrix"):
         rows = [[parse_entry(e) for e in row] for row in entries]
     except TypeError as exc:
         raise ParseError(f"{what} is not a nested array of entries") from exc
+    if len({len(row) for row in rows}) > 1:
+        raise ParseError(f"{what} has rows of different lengths")
     M = np.array(rows, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ParseError(f"{what} is not square: shape {M.shape}")

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numeric, spectral, structure
+from . import __version__, numeric, spectral, structure
 from .collection import MatrixCollection
 from .exceptions import ParseError
-
-TOOL_VERSION = "0.1.0"
 
 
 @dataclass(frozen=True)
@@ -48,6 +46,8 @@ def parse_collection_document(document):
         matrices = document["matrices"]
     except KeyError as exc:
         raise ParseError(f"input document missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"'dimension' is not an integer: {exc}") from exc
     if not isinstance(matrices, dict) or not matrices:
         raise ParseError("'matrices' must be a nonempty object of named matrices")
     names = []
@@ -86,17 +86,31 @@ def load_collection(path_or_stream):
     return parse_collection_document(document)
 
 
+def _option(merged, key, default, convert):
+    value = merged.get(key, default)
+    try:
+        number = None if isinstance(value, bool) else convert(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or not 0 < number < float("inf"):
+        raise ParseError(f"option {key} = {value!r} is not a finite positive number")
+    return number
+
+
 def settings_from_options(options, overrides=None):
+    """Document options merged with non-None overrides (CLI flags win).
+
+    Every tolerance and ``bound`` must be a finite positive number and
+    ``max_iter`` at least one; anything else is a :class:`ParseError`.
+    """
     merged = dict(options or {})
     merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
     base = ToleranceSettings()
-    return ToleranceSettings(
-        tol=float(merged.get("tol", base.tol)),
-        modulus_tol=float(merged.get("modulus_tol", base.modulus_tol)),
-        rho_tol=float(merged.get("rho_tol", base.rho_tol)),
-        max_iter=int(merged.get("max_iter", base.max_iter)),
-        bound=float(merged.get("bound", base.bound)),
-    )
+    return ToleranceSettings(**{
+        key: _option(merged, key, getattr(base, key),
+                     int if key == "max_iter" else float)
+        for key in base.as_dict()
+    })
 
 
 def validate(collection, settings=None):
@@ -142,7 +156,7 @@ def validate(collection, settings=None):
         structural_ok = True
     else:
         all_commuting = all(p["commuting"] for p in pairs)
-        quasi, _ = structure.is_quasi_commuting(collection)
+        quasi = all(p["quasi_commuting"] for p in pairs)
         if all_commuting:
             classification = "commuting"
         elif quasi:
@@ -304,7 +318,7 @@ def render_human(document, indent=0):
 
 def base_report(collection, settings, validation):
     return {
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "tolerances": settings.as_dict(),
         "collection": {
             "dimension": collection.n,

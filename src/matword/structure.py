@@ -70,17 +70,27 @@ class PairClassification:
         return self.shemesh_dimension >= 1
 
 
+def commutator_test(A, B, tol):
+    """``(commuting, C, scale)``: whether C = [A, B] is at most
+    ``tol * scale`` in max norm, with scale = max(1, |A| |B|)."""
+    C = commutator(A, B)
+    scale = max(1.0, _max_abs(A) * _max_abs(B))
+    return _max_abs(C) <= tol * scale, C, scale
+
+
+def _commutes_with_commutator(M, C, scale, tol):
+    """The quasi-commuting side test for M, a member of the pair whose
+    commutator test returned ``C`` and ``scale``."""
+    return _max_abs(commutator(M, C)) <= tol * scale * max(1.0, _max_abs(M))
+
+
 def classify_pair(A, B, tol=1e-10):
     """Classify one pair of matrices; see :class:`PairClassification`."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    C = commutator(A, B)
-    scale = max(1.0, _max_abs(A) * _max_abs(B))
-    commuting = _max_abs(C) <= tol * scale
-    quasi = (
-        _max_abs(commutator(A, C)) <= tol * scale * max(1.0, _max_abs(A))
-        and _max_abs(commutator(B, C)) <= tol * scale * max(1.0, _max_abs(B))
-    )
+    commuting, C, scale = commutator_test(A, B, tol)
+    quasi = (_commutes_with_commutator(A, C, scale, tol)
+             and _commutes_with_commutator(B, C, scale, tol))
     rank, _ = numeric.rank_and_nullspace(C, tol=max(1e-10 * scale, numeric.EPS))
     basis = shemesh_subspace(A, B)
     return PairClassification(
@@ -98,17 +108,14 @@ def is_quasi_commuting(collection, tol=1e-10):
     Returns ``(flag, witness)`` where the witness names the first violating
     triple (r, s, side) or is None.
     """
-    if collection.N < 2:
-        return True, None
+    names = collection.names
     for r in range(collection.N):
         for s in range(r + 1, collection.N):
             A, B = collection.matrices[r], collection.matrices[s]
-            C = commutator(A, B)
-            scale = max(1.0, _max_abs(A) * _max_abs(B))
-            if _max_abs(commutator(A, C)) > tol * scale * max(1.0, _max_abs(A)):
-                return False, (collection.names[r], collection.names[s], collection.names[r])
-            if _max_abs(commutator(B, C)) > tol * scale * max(1.0, _max_abs(B)):
-                return False, (collection.names[r], collection.names[s], collection.names[s])
+            _, C, scale = commutator_test(A, B, tol)
+            for side, M in ((r, A), (s, B)):
+                if not _commutes_with_commutator(M, C, scale, tol):
+                    return False, (names[r], names[s], names[side])
     return True, None
 
 

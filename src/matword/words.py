@@ -145,29 +145,50 @@ class LimitResult:
         return self.status == "converged"
 
 
+def iterate_to_fixed_point(step, z, tol, max_iter, bound):
+    """Iterate z -> step(z) until it settles; the one convergence policy.
+
+    Convergence: sup-norm step difference at most ``tol * (1 + |z|)``.
+    A non-finite iterate or one past ``bound`` in sup norm is divergence.
+    Returns ``(z, iterations, residual, status)`` with status one of
+    converged, diverged or max_iter; only ``max_iter < 1`` raises.
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    z = np.asarray(z, dtype=np.float64).copy()
+    for k in range(1, int(max_iter) + 1):
+        z_next = step(z)
+        residual = float(np.max(np.abs(z_next - z)))
+        if not np.all(np.isfinite(z_next)) or np.max(np.abs(z_next)) > bound:
+            return z_next, k, residual, "diverged"
+        if residual <= tol * (1.0 + float(np.max(np.abs(z)))):
+            return z_next, k, residual, "converged"
+        z = z_next
+    return z, int(max_iter), residual, "max_iter"
+
+
+def first_period(step, z, q, atol):
+    """Smallest divisor d of q with step^d(z) within ``atol`` of z in sup
+    norm, or None when even d = q fails."""
+    image = z
+    for d in range(1, int(q) + 1):
+        image = step(image)
+        if q % d == 0 and float(np.max(np.abs(image - z))) <= atol:
+            return d
+    return None
+
+
 def limit_point(collection, word, x, q, tol=1e-10, max_iter=100_000, bound=1e12):
     """Iterate z -> (A_w)^q z to the limit point xi.
 
-    Convergence: sup-norm step difference at most ``tol * (1 + |z|)``.
-    Divergence past ``bound`` and hitting ``max_iter`` are reported through
-    the status, never raised.
+    Convergence and divergence follow :func:`iterate_to_fixed_point`;
+    both are reported through the status, never raised.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    M = word_product(collection, word)
-    Bq = numeric.mat_power(M, q)
-    z = np.asarray(x, dtype=np.float64).copy()
-    for k in range(1, int(max_iter) + 1):
-        z_next = numeric.mat_vec(Bq, z)
-        step = float(np.max(np.abs(z_next - z)))
-        if not np.all(np.isfinite(z_next)) or np.max(np.abs(z_next)) > bound:
-            return LimitResult(z_next, k, step, "diverged")
-        if step <= tol * (1.0 + float(np.max(np.abs(z)))):
-            return LimitResult(z_next, k, step, "converged")
-        z = z_next
-    return LimitResult(z, int(max_iter), step, "max_iter")
+    Bq = numeric.mat_power(word_product(collection, word), q)
+    return LimitResult(*iterate_to_fixed_point(
+        lambda z: numeric.mat_vec(Bq, z), x, tol, max_iter, bound))
 
 
 def spectral_limit(system, coeffs):
@@ -182,11 +203,6 @@ def spectral_limit(system, coeffs):
     return np.real(out)
 
 
-def divisors(q):
-    out = [d for d in range(1, int(q) + 1) if q % d == 0]
-    return out
-
-
 def point_period(M, xi, q, tol=1e-10):
     """Smallest divisor d of q with M^d xi = xi (sup-norm tolerance).
 
@@ -197,18 +213,10 @@ def point_period(M, xi, q, tol=1e-10):
     xi = np.asarray(xi, dtype=np.float64)
     scale = float(np.max(np.abs(xi))) if xi.size else 0.0
     atol = tol * (1.0 + scale)
-    power = np.eye(M.shape[0], dtype=M.dtype)
-    best = None
-    for d in range(1, int(q) + 1):
-        power = numeric.mat_mul(M, power)
-        if q % d != 0:
-            continue
-        if float(np.max(np.abs(numeric.mat_vec(power, xi) - xi))) <= atol:
-            best = d
-            break
-    if best is None:
+    period = first_period(lambda z: numeric.mat_vec(M, z), xi, q, atol)
+    if period is None:
         raise NotPeriodic(f"vector is not {q}-periodic within tolerance {atol}")
-    return best
+    return period
 
 
 def skew_product_step(collection, tau, x):

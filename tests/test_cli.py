@@ -267,3 +267,81 @@ def test_stdin_input(ex2_path, monkeypatch):
     code, out, _ = run_cli(["classify", "-", "--format", "machine"])
     assert code == 0
     assert json.loads(out)["queries"][0]["classification"] == "commuting"
+
+
+EX2_X = "2,0,2,0,0,0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--word", "AB", "--x", EX2_X, "--max-iter", "0"],
+    ["period", "--word", "AB", "--x", EX2_X, "--max-iter", "0"],
+    ["cone-limit", "--word", "AB", "--y", "1,1,1,1,1,1", "--max-iter", "0"],
+    ["q2", "--tau", "periodic:AB", "--x", EX2_X, "--budget", "0"],
+    ["limit", "--word", "AB", "--x", EX2_X, "--tol", "-1"],
+    ["limit", "--word", "AB", "--x", EX2_X, "--tol", "nan"],
+    ["limit", "--word", "AB", "--x", EX2_X, "--bound", "inf"],
+    ["validate", "--rho-tol", "0"],
+    ["analyze", "--query", f"q2 --tau periodic:AB --x {EX2_X} --budget -3"],
+    ["analyze", "--query", 'limit --word "AB'],
+], ids=["limit-max-iter", "period-max-iter", "cone-limit-max-iter",
+        "q2-budget", "tol-negative", "tol-nan", "bound-inf", "rho-tol-zero",
+        "analyze-q2-budget", "analyze-unbalanced-quote"])
+def test_bad_flag_value_exit_2(ex2_path, argv):
+    code, out, err = run_cli([argv[0], ex2_path] + argv[1:])
+    assert code == 2
+    assert out == "" and err.startswith("input error:")
+
+
+@pytest.mark.parametrize("options", [
+    {"max_iter": "x"}, {"max_iter": 0}, {"tol": True}, {"modulus_tol": -1e-8},
+    {"rho_tol": "nan"}, {"bound": "1e400"},
+], ids=["max-iter-text", "max-iter-zero", "tol-bool", "modulus-tol-negative",
+        "rho-tol-nan", "bound-overflow"])
+def test_bad_document_option_exit_2(tmp_path, options):
+    path = write_doc(tmp_path, "opts.json", ENTRIES["example7"].collection,
+                     options=options)
+    code, _, err = run_cli(["validate", path])
+    assert code == 2 and err.startswith("input error:")
+
+
+def _set_dimension(doc):
+    doc["dimension"] = "x"
+
+
+def _ragged_row(doc):
+    doc["matrices"]["A"][1] = [0.5]
+
+
+def _huge_integer(doc):
+    doc["matrices"]["A"][0][0] = 10 ** 400
+
+
+def _boolean_entry(doc):
+    doc["matrices"]["A"][0][0] = True
+
+
+@pytest.mark.parametrize("mutate", [_set_dimension, _ragged_row, _huge_integer,
+                                    _boolean_entry])
+def test_malformed_document_exit_2(tmp_path, mutate):
+    path = write_doc(tmp_path, "bad.json", ENTRIES["example7"].collection,
+                     mutate=mutate)
+    code, _, err = run_cli(["validate", path])
+    assert code == 2 and err.startswith("input error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--query", "classify", "--query", "eigensystem"],
+    ["classify"],
+])
+def test_validate_runs_once_per_run(ex2_path, monkeypatch, argv):
+    calls = []
+    original = reporting.validate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reporting, "validate", counting)
+    code, _, _ = run_cli([argv[0], ex2_path] + argv[1:] + ["--format", "machine"])
+    assert code == 0
+    assert len(calls) == 1

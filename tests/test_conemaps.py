@@ -193,3 +193,22 @@ def test_row_stochastic_diagonal_ray():
         cone = conemaps.cone_limit(coll, w, x, cert.q, system=system)
     assert linear.converged and cone.converged
     assert np.max(np.abs(linear.xi - cone.eta)) <= 1e-9
+
+
+def test_cone_limit_and_limit_point_share_the_max_iter_rule():
+    entry = ENTRIES["example8"]
+    coll = entry.collection
+    system = structure.common_eigenvectors(coll)
+    w = words.Word.from_names("AB", coll)
+    with pytest.raises(ValueError, match="max_iter"):
+        conemaps.cone_limit(coll, w, entry.data["point"], q=4, max_iter=0,
+                            system=system)
+    with pytest.raises(ValueError, match="max_iter"):
+        words.limit_point(coll, w, np.log(entry.data["point"]), 4, max_iter=0)
+
+
+def test_cone_point_period_none_when_not_periodic():
+    coll = MatrixCollection(names=("A",), matrices=(np.array([[0.0, 1.0], [1.0, 0.0]]),))
+    w = words.Word.from_names("A", coll)
+    assert conemaps.cone_point_period(coll, w, np.array([1.0, 2.0]), 2) == 2
+    assert conemaps.cone_point_period(coll, w, np.array([1.0, 2.0]), 1) is None
