@@ -284,6 +284,14 @@ def build_parser():
     return parser
 
 
+class _QueryParser(argparse.ArgumentParser):
+    """Parser of one ``--query`` string: an error raises ParseError with
+    argparse's message instead of printing usage to sys.stderr and exiting."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def _parse_query_string(text):
     try:
         tokens = shlex.split(text)
@@ -293,12 +301,12 @@ def _parse_query_string(text):
         raise ParseError(
             f"unknown query {text!r}; expected one of {sorted(QUERIES)}"
         )
-    qp = argparse.ArgumentParser(prog=tokens[0], add_help=False)
+    qp = _QueryParser(prog=tokens[0], add_help=False)
     _add_query_args(qp, tokens[0])
     try:
         args = qp.parse_args(tokens[1:])
-    except SystemExit:
-        raise ParseError(f"bad query arguments in {text!r}") from None
+    except ParseError as exc:
+        raise ParseError(f"bad query arguments in {text!r}: {exc}") from None
     return tokens[0], args
 
 

@@ -47,10 +47,11 @@ def parse_vector(text):
 
 def as_square_matrix(entries, what="matrix"):
     """Validate and convert nested entries into a square float64 array."""
-    try:
-        rows = [[parse_entry(e) for e in row] for row in entries]
-    except TypeError as exc:
-        raise ParseError(f"{what} is not a nested array of entries") from exc
+    if not isinstance(entries, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in entries
+    ):
+        raise ParseError(f"{what} is not a nested array of entries")
+    rows = [[parse_entry(e) for e in row] for row in entries]
     if len({len(row) for row in rows}) > 1:
         raise ParseError(f"{what} has rows of different lengths")
     M = np.array(rows, dtype=np.float64)

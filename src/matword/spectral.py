@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from . import numeric
 from .exceptions import EigenSolverFailure, NotRootOfUnity, Reducible
@@ -254,13 +252,22 @@ def peripheral_period(A, tol=None, rho_tol=None):
 
 
 def is_irreducible(A):
-    """Strong connectivity of the nonzero-pattern digraph."""
-    A = numeric.require_square(np.asarray(A))
-    pattern = scipy.sparse.csr_matrix((A != 0).astype(np.int8))
-    ncomp, _ = scipy.sparse.csgraph.connected_components(
-        pattern, directed=True, connection="strong"
-    )
-    return ncomp == 1
+    """Strong connectivity of the nonzero-pattern digraph: vertex 0 reaches
+    every vertex along the edges and along the reversed edges."""
+    pattern = numeric.require_square(np.asarray(A)) != 0
+    return all(_reaches_all(P) for P in (pattern, pattern.T))
+
+
+def _reaches_all(pattern):
+    """Whether every vertex is reachable from vertex 0, where pattern[i, j]
+    marks an edge i -> j."""
+    reached = np.zeros(pattern.shape[0], dtype=bool)
+    reached[:1] = True
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = pattern[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return reached.size > 0 and bool(reached.all())
 
 
 def index_of_imprimitivity(A, tol=None):

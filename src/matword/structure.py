@@ -30,31 +30,46 @@ def _max_abs(M):
     return float(np.max(np.abs(M))) if np.asarray(M).size else 0.0
 
 
+def _compress(A, Q):
+    """``(M, G)``: the compression M = Q* A Q of A to span(Q), and the
+    out-of-span map G = A Q - Q M, which vanishes exactly when span(Q) is
+    A-invariant (Q orthonormal)."""
+    AQ = A @ Q
+    M = Q.conj().T @ AQ
+    return M, AQ - Q @ M
+
+
 def shemesh_subspace(A, B, tol=None):
-    """Orthonormal basis of the intersection of ker([A^k, B^l]) over
-    1 <= k, l <= n-1, computed from the vertically stacked commutators.
+    """Orthonormal basis of Shemesh's subspace N, the intersection of
+    ker([A^k, B^l]) over 1 <= k, l <= n-1.
+
+    N is the largest A,B-invariant subspace inside ker[A, B], so it is
+    computed by refinement: start from V = ker[A, B] (singular values cut
+    at ``tol * max(1, |A||B|) * n``) and keep V <- {v in V : Av, Bv in V}
+    until no direction is lost, with the out-of-span maps of A and B
+    scaled by ``max(1, |M|) * n`` and cut at ``tol`` (default 1e-10).
+    Each round loses a direction or stops, so the cost is one n x n SVD
+    plus at most n SVDs of 2n x dim(V) stacks: O(n^4) flops at worst,
+    O(n^3) when ker[A, B] is trivial.
 
     The subspace is nontrivial exactly when the pair has a common
     eigenvector; both matrices leave it invariant and commute on it.
     """
     A = numeric.require_square(np.asarray(A, dtype=np.float64))
     B = numeric.require_square(np.asarray(B, dtype=np.float64))
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
-    n = A.shape[0]
-    if n == 1:
-        return np.eye(1)
-    a_powers = [numeric.mat_power(A, k) for k in range(1, n)]
-    b_powers = [numeric.mat_power(B, l) for l in range(1, n)]
-    stack = np.vstack([commutator(Ak, Bl) for Ak in a_powers for Bl in b_powers])
-    scale = max(1.0, _max_abs(stack))
     if tol is None:
-        tol = numeric.default_rank_tol(
-            np.linalg.svd(stack, compute_uv=False), stack.shape[0]
-        )
-        tol = max(tol, 1e-10 * scale)
-    _, basis = numeric.rank_and_nullspace(stack, tol=tol)
-    return basis
+        tol = 1e-10
+    n = A.shape[0]
+    _, C, scale = commutator_test(A, B, tol)
+    _, V = numeric.rank_and_nullspace(C, tol=tol * scale * n)
+    scales = [max(1.0, _max_abs(M)) * n for M in (A, B)]
+    while V.shape[1]:
+        stacked = np.vstack([_compress(M, V)[1] / s for M, s in zip((A, B), scales)])
+        _, Z = numeric.rank_and_nullspace(stacked, tol=tol)
+        if Z.shape[1] == V.shape[1]:
+            break
+        V = V @ Z
+    return V
 
 
 @dataclass(frozen=True)
@@ -162,8 +177,8 @@ def _realify(value, tol):
     return value
 
 
-def _refine(collection, tol):
-    """Candidate-subspace refinement.
+def _refine(matrices, tol):
+    """Candidate-subspace refinement over a list of square matrices.
 
     Start from the eigenspaces of the first matrix; against each further
     matrix A_r keep, inside each candidate span Q, only the directions c
@@ -171,31 +186,30 @@ def _refine(collection, tol):
     Q* A_r Q.  Those are the kernel vectors of [compression - mu I]
     stacked on the out-of-span map (I - QQ*) A_r Q.
 
-    Bases stay real as long as every eigenvalue on their refinement path
-    is real, so conjugation-closed common eigenspaces come out with real
-    bases and the complex ones appear in conjugate-tuple pairs.
+    Returns ``(basis, eigenvalue list)`` pairs.  Bases stay real as long
+    as every eigenvalue on their refinement path is real, so
+    conjugation-closed common eigenspaces come out with real bases and the
+    complex ones appear in conjugate-tuple pairs.
     """
-    first = collection.matrices[0]
-    pairs = spectral.eigendecompose(first)
+    first = matrices[0]
+    n = first.shape[0]
     clusters = {}
-    for p in pairs:
+    for p in spectral.eigendecompose(first):
         lam = _realify(p.eigenvalue, tol)
         for seen in clusters:
             if abs(seen - lam) <= tol * max(1.0, abs(seen)):
                 break
         else:
             clusters[lam] = spectral.eigenspace_basis(
-                first, lam, tol=tol * max(1.0, _max_abs(first)) * collection.n
+                first, lam, tol=tol * max(1.0, _max_abs(first)) * n
             )
     subspaces = [(basis, [lam]) for lam, basis in clusters.items() if basis.shape[1]]
 
-    for r in range(1, collection.N):
-        A = collection.matrices[r]
-        scale = max(1.0, _max_abs(A)) * collection.n
+    for A in matrices[1:]:
+        scale = max(1.0, _max_abs(A)) * n
         survivors = []
         for Q, lams in subspaces:
-            M = Q.conj().T @ (A @ Q)
-            G = A @ Q - Q @ M
+            M, G = _compress(A, Q)
             seen = []
             for mu in spectral.eigenvalues(M):
                 mu = _realify(mu, tol)
@@ -262,7 +276,7 @@ def common_eigenvectors(collection, tol=None):
     """
     if tol is None:
         tol = spectral.CLUSTER_TOL
-    subspaces = _refine(collection, tol)
+    subspaces = _refine(collection.matrices, tol)
     norms = [max(1.0, numeric.operator_norm(M)) for M in collection.matrices]
 
     entries = []
@@ -410,41 +424,9 @@ def simultaneous_triangularization(collection, tol=None):
 
 
 def _common_eigenvector_of(blocks, tol):
-    """One common eigenvector of a list of complex square matrices, or None.
-
-    Same refinement as :func:`common_eigenvectors` but over raw arrays (the
-    deflated blocks are complex, so MatrixCollection does not apply)."""
-    n = blocks[0].shape[0]
-    if n == 1:
-        return np.ones(1, dtype=np.complex128)
-    first = blocks[0]
-    scale0 = max(1.0, _max_abs(first)) * n
-    seen = []
-    subspaces = []
-    for lam in spectral.eigenvalues(first):
-        if any(abs(lam - m) <= tol * max(1.0, abs(m)) for m in seen):
-            continue
-        seen.append(lam)
-        basis = spectral.eigenspace_basis(first, lam, tol=tol * scale0)
-        if basis.shape[1]:
-            subspaces.append(basis)
-    for A in blocks[1:]:
-        A = A.astype(np.complex128)
-        scale = max(1.0, _max_abs(A)) * n
-        survivors = []
-        for Q in subspaces:
-            M = Q.conj().T @ (A @ Q)
-            G = A @ Q - Q @ M
-            seen_mu = []
-            for mu in spectral.eigenvalues(M):
-                if any(abs(mu - m) <= tol * max(1.0, abs(m)) for m in seen_mu):
-                    continue
-                seen_mu.append(mu)
-                stacked = np.vstack([M - mu * np.eye(M.shape[0]), G])
-                _, Z = numeric.rank_and_nullspace(stacked, tol=tol * scale)
-                if Z.shape[1]:
-                    survivors.append(Q @ Z)
-        subspaces = survivors
-        if not subspaces:
-            return None
-    return spectral.canonical_phase(subspaces[0][:, 0])
+    """One common eigenvector of a list of complex square matrices, or None:
+    the canonical first column of the first subspace :func:`_refine` keeps."""
+    subspaces = _refine(blocks, tol)
+    if not subspaces:
+        return None
+    return spectral.canonical_phase(subspaces[0][0][:, 0])

@@ -345,3 +345,19 @@ def test_validate_runs_once_per_run(ex2_path, monkeypatch, argv):
     code, _, _ = run_cli([argv[0], ex2_path] + argv[1:] + ["--format", "machine"])
     assert code == 0
     assert len(calls) == 1
+
+
+def test_string_row_exit_2(tmp_path):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps({"dimension": 2, "matrices": {"A": ["01", "10"]}}))
+    code, out, err = run_cli(["validate", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "nested array" in err
+
+
+def test_query_argument_error_goes_to_given_stream(ex2_path, capsys):
+    code, out, err = run_cli(["analyze", ex2_path, "--query", "limit --word A"])
+    assert code == 2 and out == ""
+    assert err.startswith("input error: bad query arguments in 'limit --word A'")
+    assert "required: --x" in err
+    assert capsys.readouterr() == ("", "")

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import matword
 from matword import corpus, spectral
 from matword.exceptions import NotRootOfUnity, Reducible
 
@@ -162,3 +167,34 @@ def test_no_root_of_unity_error_on_corpus():
                 spectral.peripheral_period(M)
             except NotRootOfUnity as exc:  # pragma: no cover
                 pytest.fail(f"unexpected NotRootOfUnity on {entry.name}: {exc}")
+
+
+def _closure_irreducible(A):
+    """Oracle: (I + P)^(n-1) > 0 entrywise for the 0/1 pattern P."""
+    n = A.shape[0]
+    step = np.eye(n, dtype=np.int64) + (A != 0)
+    reach = np.linalg.matrix_power(step, n - 1)
+    return bool(np.all(reach > 0))
+
+
+def test_is_irreducible_matches_transitive_closure():
+    cases = [np.zeros((n, n)) for n in range(1, 5)] + [J2, J3, J4]
+    rng = np.random.default_rng(23)
+    for n in range(1, 9):
+        for density in (0.15, 0.3, 0.5):
+            for _ in range(25):
+                cases.append(rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < density))
+    verdicts = [spectral.is_irreducible(A) for A in cases]
+    assert verdicts == [_closure_irreducible(A) for A in cases]
+    assert verdicts[:7] == [True, False, False, False, True, True, True]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(matword.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    code = "import sys, matword; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from matword import corpus, numeric, structure
 from matword.collection import MatrixCollection
@@ -274,3 +275,75 @@ def test_lc_membership_rejects_noncommon_direction():
     oracle_residual = np.linalg.norm(V @ alphas - e5)
     assert oracle_residual > 0.5  # bounded away from zero (= 1/sqrt(2))
     assert structure.lc_membership(e5, system) is None
+
+
+def _unit_radius(M):
+    return M / np.max(np.abs(np.linalg.eigvals(M)))
+
+
+def _generic_pair(rng, n):
+    return [_unit_radius(rng.uniform(size=(n, n))) for _ in range(2)], 0
+
+
+def _circulant_block_pair(rng, n):
+    """Block upper-triangular pair whose leading k x k blocks are commuting
+    circulants, so span(e_1 .. e_k) is a common invariant subspace."""
+    k = int(rng.integers(1, n))
+    cycle = np.roll(np.eye(k), 1, axis=0)
+    mats = []
+    for _ in range(2):
+        M = rng.uniform(size=(n, n))
+        M[k:, :k] = 0.0
+        M[:k, :k] = sum(w * np.linalg.matrix_power(cycle, j)
+                        for j, w in enumerate(rng.uniform(0.1, 1.0, size=k)))
+        mats.append(_unit_radius(M))
+    return mats, k
+
+
+def _oblique_block_pair(rng, n):
+    """A planted k-dim common block in a random orthonormal frame: the
+    leading blocks are two polynomials in one random k x k matrix."""
+    k = int(rng.integers(1, n))
+    R = rng.normal(size=(k, k))
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    mats = []
+    for block in (R, R @ R - 0.5 * R + np.eye(k)):
+        M = rng.normal(size=(n, n))
+        M[k:, :k] = 0.0
+        M[:k, :k] = block
+        mats.append(_unit_radius(Q @ M @ Q.T))
+    return mats, k
+
+
+def _rank_two_commutator_pair(rng, n):
+    """B = p(A) + u v^T with A leaving span(e_1 .. e_k) invariant and v
+    orthogonal to it.  ker[A, B] = {x : v.x = v.Ax = 0} has dimension n - 2
+    but is not A-invariant; the Shemesh subspace is the largest A-invariant
+    subspace orthogonal to v, generically span(e_1 .. e_k)."""
+    k = int(rng.integers(0, n - 1))
+    A = rng.normal(size=(n, n))
+    A[k:, :k] = 0.0
+    u, v = rng.normal(size=(2, n))
+    v[:k] = 0.0
+    B = A @ A - 0.5 * A + np.eye(n) + np.outer(u, v)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return [_unit_radius(Q @ M @ Q.T) for M in (A, B)], k
+
+
+@pytest.mark.parametrize("make", [_generic_pair, _circulant_block_pair,
+                                  _oblique_block_pair, _rank_two_commutator_pair])
+def test_shemesh_subspace_matches_stacked_commutator_oracle(make):
+    rng = np.random.default_rng(31)
+    for n in range(3, 10):
+        for _ in range(4):
+            (A, B), k = make(rng, n)
+            V = structure.shemesh_subspace(A, B)
+            W = brute_force_shemesh(A, B)
+            assert V.shape[1] == W.shape[1] >= k
+            assert np.max(np.abs(V @ V.T - W @ W.T)) <= 1e-8
+            np.testing.assert_allclose(V.T @ V, np.eye(V.shape[1]), atol=1e-12)
+            if V.shape[1]:
+                P = np.eye(n) - V @ V.T
+                assert np.max(np.abs(P @ A @ V)) <= 1e-9
+                assert np.max(np.abs(P @ B @ V)) <= 1e-9
+                assert np.max(np.abs((A @ B - B @ A) @ V)) <= 1e-9
