@@ -28,6 +28,7 @@ from .exceptions import (
     HypothesesNotMet,
     InvalidLetter,
     MatwordError,
+    NonFiniteValue,
     NotPeriodic,
     NotRootOfUnity,
     ParseError,

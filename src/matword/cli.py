@@ -238,13 +238,16 @@ def _add_query_args(parser, name):
 
 def _add_common_flags(parser):
     parser.add_argument("--tol", type=float, default=None,
-                        help="iteration convergence tolerance (default 1e-10)")
+                        help="iteration convergence tolerance "
+                             f"(default {numeric.CONVERGENCE_TOL:g})")
     parser.add_argument("--rho-tol", type=float, default=None, dest="rho_tol",
-                        help="acceptance band for spectral radius one (default 1e-8)")
+                        help="acceptance band for spectral radius one "
+                             f"(default {numeric.CLUSTER_TOL:g})")
     parser.add_argument("--max-iter", type=int, default=None, dest="max_iter",
-                        help="cap on q-block iterations (default 100000)")
+                        help=f"cap on q-block iterations (default {numeric.MAX_ITER})")
     parser.add_argument("--bound", type=float, default=None,
-                        help="divergence threshold on the orbit norm (default 1e12)")
+                        help="divergence threshold on the orbit norm "
+                             f"(default {numeric.BOUND:g})")
     parser.add_argument("--force", action="store_true",
                         help="continue even when the hypotheses are not met")
     parser.add_argument("--format", choices=("human", "machine"),
@@ -351,11 +354,11 @@ def main(argv=None, stdout=None, stderr=None):
             "max_iter": args.max_iter,
             "bound": args.bound,
         })
+        validation = reporting.validate(collection, settings)
     except (MatwordError, OSError) as exc:
         stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
 
-    validation = reporting.validate(collection, settings)
     report = reporting.base_report(collection, settings, validation)
 
     if not validation["hypotheses_met"] and not args.force:

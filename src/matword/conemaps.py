@@ -45,10 +45,7 @@ class ConeMap:
 
     def __post_init__(self):
         M = numeric.require_square(np.asarray(self.matrix, dtype=np.float64))
-        bad = numeric.first_negative_entry(M)
-        if bad is not None:
-            raise ValueError(f"cone map matrix has a negative entry at {bad}")
-        M = M.copy()
+        M = numeric.require_nonnegative(M, "cone map matrix").copy()
         M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
 
@@ -139,8 +136,8 @@ class ConeLimitResult:
         return self.status == "converged"
 
 
-def cone_limit(collection, word, y, q, tol=1e-10, max_iter=100_000,
-               bound=1e12, system=None):
+def cone_limit(collection, word, y, q, tol=numeric.CONVERGENCE_TOL,
+               max_iter=numeric.MAX_ITER, bound=numeric.BOUND, system=None):
     """Limit of f_w^{k q}(y), computed twice and cross-checked.
 
     The iterative route applies f_w in q-blocks under the convergence rule
@@ -185,7 +182,7 @@ def cone_limit(collection, word, y, q, tol=1e-10, max_iter=100_000,
     return ConeLimitResult(z, iterations, residual, status, agreement)
 
 
-def cone_point_period(collection, word, eta, q, tol=1e-8):
+def cone_point_period(collection, word, eta, q, tol=numeric.TUPLE_TOL):
     """Smallest divisor d of q with f_w^d(eta) = eta (relative sup norm)."""
     eta = np.asarray(eta, dtype=np.float64)
     atol = tol * (1.0 + float(np.max(np.abs(eta))))
@@ -208,6 +205,6 @@ def homogeneity_report(cone_map):
     s = cone_map.row_sums
     return HomogeneityReport(
         exponents=s,
-        subhomogeneous_certified=bool(np.all(s <= 1.0 + 1e-12)),
-        homogeneous_degree_one=bool(np.all(np.abs(s - 1.0) <= 1e-12)),
+        subhomogeneous_certified=bool(np.all(s <= 1.0 + numeric.EXPONENT_TOL)),
+        homogeneous_degree_one=bool(np.all(np.abs(s - 1.0) <= numeric.EXPONENT_TOL)),
     )

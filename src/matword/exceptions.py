@@ -52,3 +52,8 @@ class EigenSolverFailure(MatwordError):
 
 class ParseError(MatwordError):
     """An input document or CLI value could not be parsed."""
+
+
+class NonFiniteValue(ParseError):
+    """A matrix handed to a linear-algebra routine has an infinite or NaN
+    entry, e.g. a product of finite input entries that overflowed."""

@@ -166,7 +166,8 @@ class OrbitTuple:
         return self.components[0]
 
 
-def a_tilde(collection, word, q, x, tol=1e-10, max_iter=100_000, bound=1e12):
+def a_tilde(collection, word, q, x, tol=numeric.CONVERGENCE_TOL,
+            max_iter=numeric.MAX_ITER, bound=numeric.BOUND):
     """The orbit tuple of the limit point of x under (A_w)^q.
 
     Non-convergence of the underlying limit propagates as
@@ -250,8 +251,8 @@ def _tuple_groups(tuples, tol_scale):
     return groups
 
 
-def q2_certificate(collection, tau, x, search_budget=None, tol=1e-8,
-                   limit_tol=1e-10):
+def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL,
+                   limit_tol=numeric.CONVERGENCE_TOL):
     """Search for prefix lengths with equal orbit tuples and extract the
     congruence witness.
 
@@ -260,13 +261,13 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=1e-8,
     every x, the tuple takes at most q**kappa values, and a budget of
     q**kappa + 1 evaluations always finds a repeat.
     """
-    _check_q2_hypotheses(collection, tol=tol * 10)
+    _check_q2_hypotheses(collection, tol=tol * numeric.SLACK)
     system = structure.common_eigenvectors(collection)
     cert = words.global_period(collection)
     q, kappa = cert.q, system.kappa
     m = tau.m
 
-    coeffs = structure.lc_membership(x, system, tol=1e-6)
+    coeffs = structure.lc_membership(x, system, tol=numeric.LC_TOL)
     if coeffs is None:
         raise HypothesesNotMet(
             "x is not expressible over the common eigenvectors; the "
@@ -274,7 +275,7 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=1e-8,
         )
     scale_x = 1.0 + float(np.max(np.abs(x)))
     support = tuple(
-        j for j in range(kappa) if abs(coeffs.alphas[j]) > 1e-6 * scale_x
+        j for j in range(kappa) if abs(coeffs.alphas[j]) > numeric.LC_TOL * scale_x
     )
 
     if search_budget is None:
@@ -311,7 +312,7 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=1e-8,
         for r in range(collection.N):
             lam = system.lambda_table[j, r]
             k = int(round(q * np.angle(lam) / (2 * np.pi))) % q
-            if abs(lam - np.exp(2j * np.pi * k / q)) > 1e-8:
+            if abs(lam - np.exp(2j * np.pi * k / q)) > numeric.ORDER_TOL:
                 raise NotRootOfUnity(
                     f"eigenvalue {lam} of matrix {collection.names[r]} is not "
                     f"a {q}-th root of unity"
@@ -320,8 +321,7 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=1e-8,
 
     table = phi_table(tau, p_gammas[-1])
     deltas = table[list(p_gammas[1:])] - table[p_gammas[0]]
-    residues = (deltas @ lambdas) % q if kappa else np.zeros((len(p_gammas) - 1, 0),
-                                                             dtype=np.int64)
+    residues = (deltas @ lambdas) % q
     return Q2Certificate(
         p_gammas=p_gammas,
         lambdas=lambdas,
@@ -333,8 +333,7 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=1e-8,
     )
 
 
-def tuple_first_component_stability(collection, tau, x, p_range, tol=1e-8,
-                                    limit_tol=1e-10):
+def tuple_first_component_stability(collection, tau, x, p_range):
     """True when the first orbit-tuple component stays xi_x across the
     prefix lengths in ``p_range``.
 
@@ -342,14 +341,15 @@ def tuple_first_component_stability(collection, tau, x, p_range, tol=1e-8,
     limit is a hypothesis violation and raises rather than returning a
     bool.
     """
-    _check_q2_hypotheses(collection, tol=tol * 10)
+    tol = numeric.TUPLE_TOL
+    _check_q2_hypotheses(collection, tol=tol * numeric.SLACK)
     cert = words.global_period(collection)
     ps = sorted(int(p) for p in p_range)
     if not ps:
         raise ValueError("p_range must be nonempty")
     reference = None
     for p in ps:
-        tup = a_tilde(collection, tau.prefix(p), cert.q, x, tol=limit_tol)
+        tup = a_tilde(collection, tau.prefix(p), cert.q, x)
         if reference is None:
             reference = tup.xi
             scale = 1.0 + float(np.max(np.abs(reference)))

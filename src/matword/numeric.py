@@ -14,9 +14,24 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, ParseError
+from .exceptions import DimensionMismatch, NonFiniteValue, ParseError
 
 EPS = np.finfo(np.float64).eps
+
+# The tolerance policy: every threshold a numerical verdict uses, named once
+# (the README tabulates where each applies, scaled where it is applied).
+RANK_TOL = 1e-10         # rank cut: commutators and compressed maps
+CLUSTER_TOL = 1e-8       # eigenvalue cluster, "modulus one", "radius one"
+ORDER_TOL = 1e-8         # root-of-unity order |lambda^d - 1|
+CONVERGENCE_TOL = 1e-10  # fixed-point step, relative to 1 + |z|
+TUPLE_TOL = 1e-8         # equal orbit tuples and orbit points
+CONJ_TOL = 1e-10         # literal conjugate eigenvectors
+LC_TOL = 1e-6            # LC membership residual and coefficient cut
+EXPONENT_TOL = 1e-12     # homogeneity exponent equal to one
+PIVOT_SLACK = 1e-6       # canonical-phase pivot, relative to the largest entry
+SLACK = 10               # factor for a re-check of a verdict made at a tolerance
+MAX_ITER = 100_000       # iteration cap of every fixed-point loop
+BOUND = 1e12             # divergence bound of every fixed-point loop
 
 
 def parse_entry(value):
@@ -68,8 +83,17 @@ def require_square(M, what="matrix"):
 
 
 def require_finite(M, what="matrix"):
-    if not np.all(np.isfinite(np.asarray(M, dtype=np.complex128))):
-        raise ValueError(f"{what} has non-finite entries")
+    """M, after checking that every entry is finite: LAPACK may never
+    return on an infinite entry, so every ``np.linalg`` call is guarded."""
+    if not np.isfinite(M).all():
+        raise NonFiniteValue(f"{what} has non-finite entries")
+    return M
+
+
+def require_nonnegative(M, what="matrix"):
+    bad = first_negative_entry(M)
+    if bad is not None:
+        raise ValueError(f"{what} has a negative entry at {bad}")
     return M
 
 
@@ -132,7 +156,7 @@ def default_rank_tol(singular_values, n):
     return n * float(smax) * EPS
 
 
-def rank_and_nullspace(M, tol=None):
+def rank_and_nullspace(M, tol=0.0):
     """Rank and an orthonormal nullspace basis of a (possibly rectangular,
     possibly complex) matrix.
 
@@ -140,8 +164,8 @@ def rank_and_nullspace(M, tol=None):
     ----------
     M : ndarray, shape (m, n)
     tol : float, optional
-        Singular values above ``tol`` count toward the rank.  Defaults to
-        ``max(m, n) * sigma_max * eps``.
+        Singular values above ``max(tol, max(m, n) * sigma_max * eps)``
+        count toward the rank.
 
     Returns
     -------
@@ -155,12 +179,6 @@ def rank_and_nullspace(M, tol=None):
     m, n = M.shape
     if M.size == 0:
         return 0, np.eye(n, dtype=M.dtype)
-    _, s, Vh = np.linalg.svd(M)
-    if tol is None:
-        tol = default_rank_tol(s, max(m, n))
-    elif tol <= 0:
-        raise ValueError("tol must be positive")
-    rank = int(np.sum(s > tol))
-    basis = Vh[rank:].conj().T
-    return rank, basis
-
+    _, s, Vh = np.linalg.svd(require_finite(M))
+    rank = int(np.sum(s > max(tol, default_rank_tol(s, max(m, n)))))
+    return rank, Vh[rank:].conj().T

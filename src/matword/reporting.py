@@ -21,11 +21,11 @@ from .exceptions import ParseError
 class ToleranceSettings:
     """The knobs every analysis threads through, echoed into reports."""
 
-    tol: float = 1e-10          # iteration convergence / agreement
-    modulus_tol: float = 1e-8   # eigenvalue clustering and "modulus one"
-    rho_tol: float = 1e-8       # acceptance band for spectral radius one
-    max_iter: int = 100_000
-    bound: float = 1e12
+    tol: float = numeric.CONVERGENCE_TOL     # iteration convergence / agreement
+    modulus_tol: float = numeric.CLUSTER_TOL # eigenvalue clustering, "modulus one"
+    rho_tol: float = numeric.CLUSTER_TOL     # band for spectral radius one
+    max_iter: int = numeric.MAX_ITER
+    bound: float = numeric.BOUND
 
     def as_dict(self):
         return {
@@ -122,8 +122,18 @@ def validate(collection, settings=None):
     three or more matrices only when quasi-commuting.  Products of every
     two-letter word are probed as a diagnostic: a product radius above
     one warns that word limits may diverge off the common eigenvectors.
+    An overflowing product raises NonFiniteValue before any pair is
+    classified; finite nonnegative products keep every commutator finite.
     """
     settings = settings or ToleranceSettings()
+    products = {}
+    for r in range(collection.N):
+        for s in range(collection.N):
+            if r != s:
+                word = collection.names[r] + collection.names[s]
+                products[word] = numeric.require_finite(
+                    numeric.mat_mul(collection.matrices[s], collection.matrices[r]),
+                    what=f"the product of the two-letter word {word}")
     per_matrix = []
     for name, M in zip(collection.names, collection.matrices):
         rho = spectral.spectral_radius(M)
@@ -173,17 +183,12 @@ def validate(collection, settings=None):
             structural_ok = all_commuting or quasi
 
     warnings_list = []
-    for r in range(collection.N):
-        for s in range(collection.N):
-            if r == s:
-                continue
-            product = numeric.mat_mul(collection.matrices[s], collection.matrices[r])
-            rho = spectral.spectral_radius(product)
-            if rho > 1.0 + settings.rho_tol:
-                word = collection.names[r] + collection.names[s]
-                warnings_list.append(
-                    f"rho(A_w) = {rho:.12g} > 1 for the two-letter word {word}"
-                )
+    for word, product in products.items():
+        rho = spectral.spectral_radius(product)
+        if rho > 1.0 + settings.rho_tol:
+            warnings_list.append(
+                f"rho(A_w) = {rho:.12g} > 1 for the two-letter word {word}"
+            )
 
     return {
         "per_matrix": per_matrix,

@@ -19,10 +19,6 @@ import numpy as np
 from . import numeric
 from .exceptions import EigenSolverFailure, NotRootOfUnity, Reducible
 
-#: Default tolerance for treating two eigenvalues as equal and for testing
-#: "modulus one"; scaled by max(1, rho) where it is applied.
-CLUSTER_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -57,7 +53,7 @@ def canonical_phase(v):
         return v
     v = v / nrm
     moduli = np.abs(v)
-    idx = int(np.argmax(moduli >= moduli.max() * (1.0 - 1e-6)))
+    idx = int(np.argmax(moduli >= moduli.max() * (1.0 - numeric.PIVOT_SLACK)))
     pivot = v[idx]
     if pivot != 0:
         v = v * (np.conj(pivot) / abs(pivot))
@@ -70,17 +66,26 @@ def _eig_sort_key(value):
     return (-abs(value), -value.real, -value.imag)
 
 
+def realify(value, tol):
+    """``value`` as a complex number, made exactly real when its imaginary
+    part is at most ``tol``."""
+    value = complex(value)
+    if abs(value.imag) <= tol:
+        return complex(value.real, 0.0)
+    return value
+
+
 def _cluster(values, tol):
-    """Group indices of near-equal complex values.  Values are pre-sorted by
-    the deterministic key, so a greedy sweep is enough at corpus separations."""
+    """Group near-equal complex values.  Values arrive sorted by the
+    deterministic key, so a greedy sweep is enough at corpus separations."""
     clusters = []
-    for idx in sorted(range(len(values)), key=lambda i: _eig_sort_key(values[i])):
+    for value in values:
         for cluster in clusters:
-            if abs(values[cluster[0]] - values[idx]) <= tol:
-                cluster.append(idx)
+            if abs(cluster[0] - value) <= tol:
+                cluster.append(value)
                 break
         else:
-            clusters.append([idx])
+            clusters.append([value])
     return clusters
 
 
@@ -92,8 +97,7 @@ def _as_matrix(A):
 
 def eigenvalues(A):
     """All eigenvalues (with multiplicity), deterministically ordered."""
-    A = _as_matrix(A)
-    numeric.require_finite(A)
+    A = numeric.require_finite(_as_matrix(A))
     try:
         vals = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
@@ -102,8 +106,8 @@ def eigenvalues(A):
 
 
 def eigenspace_basis(A, mu, tol):
-    """Orthonormal basis of ker(A - mu I) with singular values below ``tol``
-    treated as zero.
+    """Orthonormal basis of ker(A - mu I), cut as in
+    :func:`~matword.numeric.rank_and_nullspace`.
 
     A real matrix with a real eigenvalue gets a real basis (real SVD path),
     which keeps conjugation-closed eigenspaces representable over the reals.
@@ -114,13 +118,10 @@ def eigenspace_basis(A, mu, tol):
         shifted = A - mu.real * np.eye(A.shape[0])
     else:
         shifted = A.astype(np.complex128) - mu * np.eye(A.shape[0])
-    _, s, Vh = np.linalg.svd(shifted)
-    cut = max(tol, numeric.default_rank_tol(s, A.shape[0]))
-    keep = int(np.sum(s > cut))
-    return Vh[keep:].conj().T
+    return numeric.rank_and_nullspace(shifted, tol)[1]
 
 
-def eigendecompose(A, cluster_tol=None):
+def eigendecompose(A):
     """Eigen decomposition with clustering, canonical phases and
     defectiveness flags.
 
@@ -133,22 +134,15 @@ def eigendecompose(A, cluster_tol=None):
     output is a deterministic function of the input bytes.
     """
     A = _as_matrix(A)
-    numeric.require_finite(A)
     n = A.shape[0]
-    try:
-        vals = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverFailure(str(exc)) from exc
+    vals = eigenvalues(A)
     rho = float(np.max(np.abs(vals))) if n else 0.0
-    if cluster_tol is None:
-        cluster_tol = CLUSTER_TOL * max(1.0, rho)
+    cluster_tol = numeric.CLUSTER_TOL * max(1.0, rho)
     norm_scale = max(1.0, float(np.max(np.abs(A))) * n)
 
     pairs = []
-    for cluster in _cluster(list(vals), cluster_tol):
-        mu = complex(np.mean([vals[i] for i in cluster]))
-        if abs(mu.imag) <= cluster_tol:
-            mu = complex(mu.real, 0.0)
+    for cluster in _cluster(vals, cluster_tol):
+        mu = realify(np.mean(cluster), cluster_tol)
         algebraic = len(cluster)
         basis = eigenspace_basis(A, mu, tol=cluster_tol * norm_scale)
         geometric = basis.shape[1]
@@ -164,10 +158,9 @@ def eigendecompose(A, cluster_tol=None):
         geometric = min(geometric, algebraic)
         for col in range(geometric):
             v = canonical_phase(basis[:, col])
-            lam = complex(np.vdot(v, numeric.mat_vec(A, v)))  # Rayleigh quotient
-            if abs(lam.imag) <= cluster_tol:
-                lam = complex(lam.real, 0.0)
-            residual = float(np.linalg.norm(numeric.mat_vec(A, v) - lam * v))
+            Av = numeric.mat_vec(A, v)
+            lam = realify(np.vdot(v, Av), cluster_tol)  # Rayleigh quotient
+            residual = float(np.linalg.norm(Av - lam * v))
             pairs.append(
                 EigenPair(lam, v, residual, algebraic=algebraic, geometric=geometric)
             )
@@ -183,7 +176,7 @@ def spectral_radius(A):
     return float(np.max(np.abs(vals)))
 
 
-def root_of_unity_order(value, max_order, tol=1e-8):
+def root_of_unity_order(value, max_order, tol=numeric.ORDER_TOL):
     """Smallest d in [1, max_order] with \\|value**d - 1\\| <= tol, else None."""
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
@@ -212,7 +205,7 @@ class PeripheralReport:
     q_r: int | None
 
 
-def peripheral_period(A, tol=None, rho_tol=None):
+def peripheral_period(A, rho_tol=numeric.CLUSTER_TOL):
     """Peripheral eigenvalues of a nonnegative matrix and the period q_r.
 
     When rho(A) is within ``rho_tol`` of one, every peripheral eigenvalue is
@@ -220,23 +213,18 @@ def peripheral_period(A, tol=None, rho_tol=None):
     guarantees such an order exists, so a miss raises
     :class:`~matword.exceptions.NotRootOfUnity`.
     """
-    A = numeric.require_square(np.asarray(A, dtype=np.float64))
-    bad = numeric.first_negative_entry(A)
-    if bad is not None:
-        raise ValueError(f"matrix has a negative entry at {bad}")
+    A = numeric.require_nonnegative(
+        numeric.require_square(np.asarray(A, dtype=np.float64)))
     n = A.shape[0]
-    if tol is None:
-        tol = CLUSTER_TOL
-    if rho_tol is None:
-        rho_tol = CLUSTER_TOL
     pairs = eigendecompose(A)
     rho = max((abs(p.eigenvalue) for p in pairs), default=0.0)
-    scale = tol * max(1.0, rho)
+    scale = numeric.CLUSTER_TOL * max(1.0, rho)
     peripheral = tuple(p for p in pairs if abs(abs(p.eigenvalue) - rho) <= scale)
     if abs(rho - 1.0) <= rho_tol:
         orders = []
         for p in peripheral:
-            d = root_of_unity_order(p.eigenvalue, max_order=n, tol=scale * 10)
+            d = root_of_unity_order(p.eigenvalue, max_order=n,
+                                    tol=scale * numeric.SLACK)
             if d is None:
                 raise NotRootOfUnity(
                     f"peripheral eigenvalue {p.eigenvalue} of a spectral-radius-one "
@@ -270,17 +258,14 @@ def _reaches_all(pattern):
     return reached.size > 0 and bool(reached.all())
 
 
-def index_of_imprimitivity(A, tol=None):
+def index_of_imprimitivity(A):
     """Number of eigenvalues of modulus rho(A) for an irreducible
     nonnegative matrix."""
-    A = numeric.require_square(np.asarray(A, dtype=np.float64))
-    bad = numeric.first_negative_entry(A)
-    if bad is not None:
-        raise ValueError(f"matrix has a negative entry at {bad}")
+    A = numeric.require_nonnegative(
+        numeric.require_square(np.asarray(A, dtype=np.float64)))
     if not is_irreducible(A):
         raise Reducible("pattern digraph is not strongly connected")
-    if tol is None:
-        tol = CLUSTER_TOL
     vals = eigenvalues(A)
     rho = float(np.max(np.abs(vals)))
-    return int(np.sum(np.abs(np.abs(vals) - rho) <= tol * max(1.0, rho)))
+    band = numeric.CLUSTER_TOL * max(1.0, rho)
+    return int(np.sum(np.abs(np.abs(vals) - rho) <= band))

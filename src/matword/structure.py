@@ -13,9 +13,6 @@ import numpy as np
 from . import numeric, spectral
 from .exceptions import DimensionMismatch
 
-#: matching tolerance for literal conjugate pairs after phase canonicalisation
-CONJ_TOL = 1e-10
-
 
 def commutator(A, B):
     """[A, B] = AB - BA."""
@@ -39,15 +36,15 @@ def _compress(A, Q):
     return M, AQ - Q @ M
 
 
-def shemesh_subspace(A, B, tol=None):
+def shemesh_subspace(A, B):
     """Orthonormal basis of Shemesh's subspace N, the intersection of
     ker([A^k, B^l]) over 1 <= k, l <= n-1.
 
     N is the largest A,B-invariant subspace inside ker[A, B], so it is
     computed by refinement: start from V = ker[A, B] (singular values cut
-    at ``tol * max(1, |A||B|) * n``) and keep V <- {v in V : Av, Bv in V}
+    at ``RANK_TOL * max(1, |A||B|) * n``) and keep V <- {v in V : Av, Bv in V}
     until no direction is lost, with the out-of-span maps of A and B
-    scaled by ``max(1, |M|) * n`` and cut at ``tol`` (default 1e-10).
+    scaled by ``max(1, |M|) * n`` and cut at ``RANK_TOL``.
     Each round loses a direction or stops, so the cost is one n x n SVD
     plus at most n SVDs of 2n x dim(V) stacks: O(n^4) flops at worst,
     O(n^3) when ker[A, B] is trivial.
@@ -57,8 +54,7 @@ def shemesh_subspace(A, B, tol=None):
     """
     A = numeric.require_square(np.asarray(A, dtype=np.float64))
     B = numeric.require_square(np.asarray(B, dtype=np.float64))
-    if tol is None:
-        tol = 1e-10
+    tol = numeric.RANK_TOL
     n = A.shape[0]
     _, C, scale = commutator_test(A, B, tol)
     _, V = numeric.rank_and_nullspace(C, tol=tol * scale * n)
@@ -99,14 +95,15 @@ def _commutes_with_commutator(M, C, scale, tol):
     return _max_abs(commutator(M, C)) <= tol * scale * max(1.0, _max_abs(M))
 
 
-def classify_pair(A, B, tol=1e-10):
+def classify_pair(A, B):
     """Classify one pair of matrices; see :class:`PairClassification`."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
+    tol = numeric.RANK_TOL
     commuting, C, scale = commutator_test(A, B, tol)
     quasi = (_commutes_with_commutator(A, C, scale, tol)
              and _commutes_with_commutator(B, C, scale, tol))
-    rank, _ = numeric.rank_and_nullspace(C, tol=max(1e-10 * scale, numeric.EPS))
+    rank, _ = numeric.rank_and_nullspace(C, tol=tol * scale)
     basis = shemesh_subspace(A, B)
     return PairClassification(
         commuting=commuting,
@@ -117,13 +114,14 @@ def classify_pair(A, B, tol=1e-10):
     )
 
 
-def is_quasi_commuting(collection, tol=1e-10):
+def is_quasi_commuting(collection):
     """True when every pair commutes with its commutator.
 
     Returns ``(flag, witness)`` where the witness names the first violating
     triple (r, s, side) or is None.
     """
     names = collection.names
+    tol = numeric.RANK_TOL
     for r in range(collection.N):
         for s in range(r + 1, collection.N):
             A, B = collection.matrices[r], collection.matrices[s]
@@ -170,11 +168,15 @@ class CommonEigenSystem:
         return np.column_stack(self.vectors)
 
 
-def _realify(value, tol):
-    value = complex(value)
-    if abs(value.imag) <= tol:
-        return complex(value.real, 0.0)
-    return value
+def _distinct(values, tol):
+    """The values made real where :func:`~matword.spectral.realify` allows,
+    dropping each one within ``tol * max(1, |kept|)`` of an earlier kept one."""
+    kept = []
+    for value in values:
+        value = spectral.realify(value, tol)
+        if not any(abs(value - k) <= tol * max(1.0, abs(k)) for k in kept):
+            kept.append(value)
+    return kept
 
 
 def _refine(matrices, tol):
@@ -193,29 +195,19 @@ def _refine(matrices, tol):
     """
     first = matrices[0]
     n = first.shape[0]
-    clusters = {}
-    for p in spectral.eigendecompose(first):
-        lam = _realify(p.eigenvalue, tol)
-        for seen in clusters:
-            if abs(seen - lam) <= tol * max(1.0, abs(seen)):
-                break
-        else:
-            clusters[lam] = spectral.eigenspace_basis(
-                first, lam, tol=tol * max(1.0, _max_abs(first)) * n
-            )
-    subspaces = [(basis, [lam]) for lam, basis in clusters.items() if basis.shape[1]]
+    cut = tol * max(1.0, _max_abs(first)) * n
+    subspaces = []
+    for lam in _distinct((p.eigenvalue for p in spectral.eigendecompose(first)), tol):
+        basis = spectral.eigenspace_basis(first, lam, tol=cut)
+        if basis.shape[1]:
+            subspaces.append((basis, [lam]))
 
     for A in matrices[1:]:
         scale = max(1.0, _max_abs(A)) * n
         survivors = []
         for Q, lams in subspaces:
             M, G = _compress(A, Q)
-            seen = []
-            for mu in spectral.eigenvalues(M):
-                mu = _realify(mu, tol)
-                if any(abs(mu - m) <= tol * max(1.0, abs(m)) for m in seen):
-                    continue
-                seen.append(mu)
+            for mu in _distinct(spectral.eigenvalues(M), tol):
                 stacked = np.vstack([M - mu * np.eye(M.shape[0], dtype=M.dtype), G])
                 _, Z = numeric.rank_and_nullspace(stacked, tol=tol * scale)
                 if Z.shape[1]:
@@ -268,14 +260,12 @@ def _sort_key(lams, vector, kappa_member):
     return tuple(parts)
 
 
-def common_eigenvectors(collection, tol=None):
+def common_eigenvectors(collection, tol=numeric.CLUSTER_TOL):
     """Compute E', the eigenvalue table, kappa, and the conjugate pairs.
 
     The result is empty (d = 0) when the collection has no common
     eigenvectors; that is a value, not an error.
     """
-    if tol is None:
-        tol = spectral.CLUSTER_TOL
     subspaces = _refine(collection.matrices, tol)
     norms = [max(1.0, numeric.operator_norm(M)) for M in collection.matrices]
 
@@ -287,10 +277,8 @@ def common_eigenvectors(collection, tol=None):
             ok = True
             for M, nrm in zip(collection.matrices, norms):
                 image = numeric.mat_vec(M.astype(np.complex128), v)
-                lam = complex(np.vdot(v, image))
-                if abs(lam.imag) <= tol:
-                    lam = complex(lam.real, 0.0)
-                if np.linalg.norm(image - lam * v) > 10 * tol * nrm:
+                lam = spectral.realify(np.vdot(v, image), tol)
+                if np.linalg.norm(image - lam * v) > numeric.SLACK * tol * nrm:
                     ok = False
                     break
                 lams.append(lam)
@@ -317,12 +305,12 @@ def common_eigenvectors(collection, tol=None):
         if s1 in used:
             continue
         v1 = vectors[s1]
-        if np.max(np.abs(v1.imag)) <= CONJ_TOL:
+        if np.max(np.abs(v1.imag)) <= numeric.CONJ_TOL:
             continue
         for s2_idx in range(s1 + 1, len(vectors)):
             if s2_idx in used:
                 continue
-            if np.max(np.abs(np.conj(v1) - vectors[s2_idx])) <= CONJ_TOL:
+            if np.max(np.abs(np.conj(v1) - vectors[s2_idx])) <= numeric.CONJ_TOL:
                 vectors[s2_idx] = np.conj(v1)
                 table[s2_idx] = np.conj(table[s1])
                 s2.append((s1, s2_idx))
@@ -357,8 +345,8 @@ def lc_membership(x, system, tol=None):
         raise ValueError("common eigensystem is empty")
     if tol is None:
         tol = system.tol
-    x = np.asarray(x, dtype=np.float64)
-    V = system.basis_matrix()
+    x = numeric.require_finite(np.asarray(x, dtype=np.float64), what="vector")
+    V = numeric.require_finite(system.basis_matrix())
     alphas, *_ = np.linalg.lstsq(V, x.astype(np.complex128), rcond=None)
     residual = float(np.linalg.norm(V @ alphas - x))
     atol = tol * (1.0 + float(np.linalg.norm(x)))
@@ -384,15 +372,13 @@ def _householder_unitary(v):
     v = v / np.linalg.norm(v)
     pivot = v[0]
     alpha = 1.0 if pivot == 0 else pivot / abs(pivot)
+    # |u|^2 = 2 + 2 |v[0]| >= 2, so the division is safe
     u = v + alpha * np.eye(n, dtype=np.complex128)[:, 0]
-    nrm = np.linalg.norm(u)
-    if nrm < 1e-14:  # unreachable for unit v, kept as a guard
-        return np.eye(n, dtype=np.complex128)
-    u = u / nrm
+    u = u / np.linalg.norm(u)
     return np.eye(n, dtype=np.complex128) - 2.0 * np.outer(u, u.conj())
 
 
-def simultaneous_triangularization(collection, tol=None):
+def simultaneous_triangularization(collection):
     """Unitary U with every U* A_r U upper triangular, or None.
 
     Deflation: find a common eigenvector of the (conjugated, deflated)
@@ -400,8 +386,7 @@ def simultaneous_triangularization(collection, tol=None):
     common eigenvector at any stage means no simultaneous triangularization
     is found by this route (for a McCoy family one always exists).
     """
-    if tol is None:
-        tol = spectral.CLUSTER_TOL
+    tol = numeric.CLUSTER_TOL
     n = collection.n
     U = np.eye(n, dtype=np.complex128)
     mats = [M.astype(np.complex128) for M in collection.matrices]

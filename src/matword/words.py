@@ -73,7 +73,7 @@ class PeriodCertificate:
     q: int
 
 
-def global_period(collection, letters=None, rho_tol=None):
+def global_period(collection, letters=None, rho_tol=numeric.CLUSTER_TOL):
     """q_r for each requested matrix via the peripheral spectrum, and
     q = lcm.
 
@@ -83,18 +83,11 @@ def global_period(collection, letters=None, rho_tol=None):
     :class:`~matword.exceptions.SpectralRadiusViolation`; a strictly
     subcritical matrix contributes q_r = 1 (its only limit is 0).
     """
-    if rho_tol is None:
-        rho_tol = spectral.CLUSTER_TOL
     if letters is None:
         letters = tuple(range(collection.N))
     qs = []
     for l in letters:
         M = collection.matrices[collection.letter_index(l)]
-        bad = numeric.first_negative_entry(M)
-        if bad is not None:
-            raise ValueError(
-                f"matrix {collection.names[l]} has a negative entry at {bad}"
-            )
         report = spectral.peripheral_period(M, rho_tol=rho_tol)
         if report.q_r is None:
             raise SpectralRadiusViolation(
@@ -104,7 +97,7 @@ def global_period(collection, letters=None, rho_tol=None):
     return PeriodCertificate(letters=tuple(letters), q_r=tuple(qs), q=math.lcm(*qs))
 
 
-def word_period(collection, word, rho_tol=None):
+def word_period(collection, word, rho_tol=numeric.CLUSTER_TOL):
     """Period certificate restricted to the letters present in the word."""
     return global_period(collection, letters=word.present_letters(), rho_tol=rho_tol)
 
@@ -178,7 +171,8 @@ def first_period(step, z, q, atol):
     return None
 
 
-def limit_point(collection, word, x, q, tol=1e-10, max_iter=100_000, bound=1e12):
+def limit_point(collection, word, x, q, tol=numeric.CONVERGENCE_TOL,
+                max_iter=numeric.MAX_ITER, bound=numeric.BOUND):
     """Iterate z -> (A_w)^q z to the limit point xi.
 
     Convergence and divergence follow :func:`iterate_to_fixed_point`;
@@ -203,7 +197,7 @@ def spectral_limit(system, coeffs):
     return np.real(out)
 
 
-def point_period(M, xi, q, tol=1e-10):
+def point_period(M, xi, q, tol=numeric.CONVERGENCE_TOL):
     """Smallest divisor d of q with M^d xi = xi (sup-norm tolerance).
 
     Raises :class:`~matword.exceptions.NotPeriodic` when even d = q fails,
