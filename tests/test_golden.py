@@ -54,6 +54,19 @@ CASES = [
 ]
 
 
+#: a commuting lazy-walk pair of the slow-mixing benchmark (q = 6, kappa = 5),
+#: ``perfbench/gen.slow_mixing_family(np.random.default_rng(2026), 4)``
+#: written with ``repr`` floats; its q2 query searches q**kappa + 1 = 7777
+#: prefixes, the shape of the benchmark's longest loops
+SLOW_MIXING_X = "2,-1,1,0.5,-0.5,1,3,-2,1"
+SLOW_MIXING_QUERIES = [
+    f"limit --word AB --x {SLOW_MIXING_X}",
+    f"period --word AB --x {SLOW_MIXING_X}",
+    "cone-limit --word ABB --y 1,2,1,3,2,1,2,1,3",
+    f"q2 --tau periodic:AAB --x {SLOW_MIXING_X}",
+]
+
+
 def _document(collection):
     return json.dumps({
         "dimension": collection.n,
@@ -79,6 +92,13 @@ def _analyze(tmp_dir, example, flags, queries):
     return _run(argv)
 
 
+def _analyze_slow_mixing():
+    argv = ["analyze", str(GOLDEN / "slow-mixing.json"), "--format", "machine"]
+    for query in SLOW_MIXING_QUERIES:
+        argv += ["--query", query]
+    return _run(argv)
+
+
 def test_paper_examples_golden():
     code, out = _run(["paper-examples", "--format", "machine"])
     assert code == 0
@@ -94,6 +114,12 @@ def test_analyze_golden(tmp_path, name, example, flags, queries):
     assert out == (GOLDEN / f"{name}.txt").read_text()
 
 
+def test_slow_mixing_golden():
+    code, out = _analyze_slow_mixing()
+    assert code == 0
+    assert out == (GOLDEN / "slow-mixing.txt").read_text()
+
+
 if __name__ == "__main__":
     import tempfile
     import warnings
@@ -106,3 +132,4 @@ if __name__ == "__main__":
         for name, example, flags, queries in CASES:
             (GOLDEN / f"{name}.txt").write_text(
                 _analyze(tmp, example, flags, queries)[1])
+    (GOLDEN / "slow-mixing.txt").write_text(_analyze_slow_mixing()[1])
