@@ -71,10 +71,7 @@ class ConeMap:
             idx = int(np.argmax(y < 0))
             raise ValueError(f"coordinate {idx} = {y[idx]} is negative")
         if np.all(y > 0):
-            exponents = numeric.mat_vec(self.matrix, np.log(y))
-            underflow = exponents < _LOG_TINY
-            value = np.where(underflow, 0.0, np.exp(exponents))
-            return value, underflow
+            return _log_domain(self.matrix, y)
         value, underflow = self._monomial(y)
         return value, underflow
 
@@ -109,6 +106,17 @@ class ConeMap:
         return out, underflow
 
 
+def _log_domain(matrix, y):
+    """``(exp(A log y), underflow_mask)`` for y > 0, with every exponent
+    below log(TINY) flushed to exact zero."""
+    exponents = numeric.mat_vec(matrix, np.log(y))
+    value = np.exp(exponents)
+    underflow = exponents < _LOG_TINY
+    if underflow.any():
+        value[underflow] = 0.0
+    return value, underflow
+
+
 def cone_apply(matrix, y):
     """Functional form of :meth:`ConeMap.apply`."""
     return ConeMap(matrix).apply(y)
@@ -121,6 +129,22 @@ def word_cone_apply(collection, word, y):
     for letter in word.letters:
         out = ConeMap(collection.matrices[letter]).apply(out)
     return out
+
+
+def _block_map(maps, word, q):
+    """f_w^q as one flat block of letter maps: :meth:`ConeMap.apply` per
+    letter, except that an interior point skips its dispatch."""
+    block = [maps[letter] for letter in word.letters] * int(q)
+
+    def f_word_q(z):
+        for cone_map in block:
+            if (z > 0).all():
+                z = _log_domain(cone_map.matrix, z)[0]
+            else:
+                z = cone_map.apply(z)
+        return z
+
+    return f_word_q
 
 
 @dataclass(frozen=True)
@@ -160,15 +184,8 @@ def cone_limit(collection, word, y, q, tol=numeric.CONVERGENCE_TOL,
         )
 
     maps = [ConeMap(M) for M in collection.matrices]
-
-    def f_word_q(z):
-        for _ in range(int(q)):
-            for letter in word.letters:
-                z = maps[letter].apply(z)
-        return z
-
     z, iterations, residual, status = words.iterate_to_fixed_point(
-        f_word_q, y, tol, max_iter, bound)
+        _block_map(maps, word, q), y, tol, max_iter, bound)
 
     agreement = float("nan")
     if status == "converged":

@@ -26,6 +26,10 @@ MAX_BUDGET = 100_000
 #: scan cap while locating the first-coverage time m of a seeded stream
 COVERAGE_SCAN_CAP = 100_000
 
+#: prefixes per batch of orbit-tuple rows, and tuples per batch of the
+#: grouping test: bounds the working memory beyond the tuple array
+CHUNK = 256
+
 
 class _SeededStream:
     """Deterministic pseudo-random letter source, grown lazily."""
@@ -40,6 +44,11 @@ class _SeededStream:
         while len(self._cache) <= i:
             self._cache.append(int(self._rng.integers(0, self.N)))
         return self._cache[i]
+
+    def letters(self, start, count):
+        if count > 0:
+            self.letter(start + count - 1)
+        return np.array(self._cache[start:start + count], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -88,6 +97,19 @@ class InfiniteWord:
             return self.preperiod[i]
         return self.cycle[(i - len(self.preperiod)) % len(self.cycle)]
 
+    def letters(self, start, count):
+        """Letters ``start .. start + count - 1`` as an int64 array: the
+        bulk form of :meth:`letter`."""
+        first, count = int(start) + self.offset, int(count)
+        if self.stream is not None:
+            return self.stream.letters(first, count)
+        i = np.arange(first, first + count)
+        pre = len(self.preperiod)
+        out = np.array(self.cycle, dtype=np.int64)[(i - pre) % len(self.cycle)]
+        head = i < pre
+        out[head] = np.array(self.preperiod, dtype=np.int64)[i[head]]
+        return out
+
     def shift(self, k=1):
         return InfiniteWord(
             N=self.N,
@@ -101,7 +123,7 @@ class InfiniteWord:
         """The finite word of the first p letters."""
         if p < 1:
             raise ValueError("prefix length must be at least 1")
-        return words.Word(tuple(self.letter(i) for i in range(int(p))))
+        return words.Word(tuple(self.letters(0, p).tolist()))
 
     @property
     def m(self):
@@ -139,11 +161,10 @@ def phi_table(tau, p_max):
     """Cumulative letter counts: row p is Phi(p), for p = 0 .. p_max."""
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
-    table = np.zeros((int(p_max) + 1, tau.N), dtype=np.int64)
-    for p in range(1, int(p_max) + 1):
-        table[p] = table[p - 1]
-        table[p, tau.letter(p - 1)] += 1
-    return table
+    p_max = int(p_max)
+    steps = np.zeros((p_max + 1, tau.N), dtype=np.int64)
+    steps[np.arange(1, p_max + 1), tau.letters(0, p_max)] = 1
+    return np.cumsum(steps, axis=0)
 
 
 def _orbit_rows(M, xi, q):
@@ -188,7 +209,8 @@ def _check_q2_hypotheses(collection, tol):
     for r in range(collection.N):
         for s in range(r + 1, collection.N):
             commuting, _, _ = structure.commutator_test(
-                collection.matrices[r], collection.matrices[s], tol)
+                collection.matrices[r], collection.matrices[s], tol,
+                (collection.names[r], collection.names[s]))
             if not commuting:
                 raise HypothesesNotMet(
                     f"matrices {collection.names[r]} and {collection.names[s]} "
@@ -236,18 +258,52 @@ class Q2Certificate:
         return bool(np.all(weighted == weighted[0]))
 
 
+def _prefix_tuples(collection, tau, m, xi, q, budget):
+    """Orbit tuples of xi under the prefix products A_{tau^[p]},
+    p = m .. m + budget - 1, as a (budget, q, n) array.
+
+    The products come from the sequential chain M_p = A_{tau_p} M_{p-1};
+    each CHUNK of them forms its tuple rows with q - 1 batched products,
+    which equal the per-prefix :func:`_orbit_rows` bit for bit.
+    """
+    n = xi.shape[0]
+    tuples = np.empty((budget, q, n))
+    tuples[:, 0] = xi
+    letters = tau.letters(m, budget - 1).tolist()
+    M_p = words.word_product(collection, tau.prefix(m))
+    Ms = np.empty((min(CHUNK, budget), n, n))
+    for start in range(0, budget, CHUNK):
+        stop = min(start + CHUNK, budget)
+        for i in range(start, stop):
+            if i > 0:
+                M_p = numeric.mat_mul(collection.matrices[letters[i - 1]], M_p)
+            Ms[i - start] = M_p
+        for k in range(1, q):
+            tuples[start:stop, k] = numeric.mat_vec_batch(
+                Ms[:stop - start], tuples[start:stop, k - 1])
+    return tuples
+
+
 def _tuple_groups(tuples, tol_scale):
-    """Group indices of componentwise-equal tuples (sup norm within scale)."""
-    reps = []
+    """Group indices of componentwise-equal tuples (sup norm within scale).
+
+    Each tuple joins the first earlier representative within the scale or
+    becomes one.  Equivalently, as computed: the earliest ungrouped tuple
+    becomes a representative and claims every later ungrouped tuple within
+    the scale.  A tuple with a NaN entry is within no scale of anything.
+    """
+    tuples = np.asarray(tuples)
+    free = np.arange(len(tuples))
     groups = []
-    for idx, T in enumerate(tuples):
-        for g, rep in enumerate(reps):
-            if float(np.max(np.abs(T - rep))) <= tol_scale:
-                groups[g].append(idx)
-                break
-        else:
-            reps.append(T)
-            groups.append([idx])
+    while free.size:
+        rep, rest = free[0], free[1:]
+        claimed = np.empty(rest.size, dtype=bool)
+        for start in range(0, rest.size, CHUNK):
+            diff = tuples[rest[start:start + CHUNK]] - tuples[rep]
+            sup = np.abs(diff, out=diff).max(axis=(1, 2))
+            claimed[start:start + CHUNK] = sup <= tol_scale
+        groups.append([int(rep)] + rest[claimed].tolist())
+        free = rest[~claimed]
     return groups
 
 
@@ -260,6 +316,9 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
     diagonalizable; then xi and the tuple sequence are well defined for
     every x, the tuple takes at most q**kappa values, and a budget of
     q**kappa + 1 evaluations always finds a repeat.
+
+    Memory is O(budget * q * n) for the tuples plus one CHUNK of prefix
+    products and of the grouping test.
     """
     _check_q2_hypotheses(collection, tol=tol * numeric.SLACK)
     system = structure.common_eigenvectors(collection)
@@ -289,12 +348,7 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
     xi = first.xi
     tol_scale = tol * (1.0 + float(np.max(np.abs(xi))))
 
-    tuples = [first.components]
-    M_p = words.word_product(collection, tau.prefix(m))
-    for p in range(m + 1, m + search_budget):
-        M_p = numeric.mat_mul(collection.matrices[tau.letter(p - 1)], M_p)
-        tuples.append(_orbit_rows(M_p, xi, q))
-
+    tuples = _prefix_tuples(collection, tau, m, xi, q, search_budget)
     groups = _tuple_groups(tuples, tol_scale)
     groups.sort(key=lambda g: (-len(g), g[0]))
     best = groups[0]

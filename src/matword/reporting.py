@@ -123,7 +123,8 @@ def validate(collection, settings=None):
     two-letter word are probed as a diagnostic: a product radius above
     one warns that word limits may diverge off the common eigenvectors.
     An overflowing product raises NonFiniteValue before any pair is
-    classified; finite nonnegative products keep every commutator finite.
+    classified, and so does a pair whose commutator scale |A| |B|
+    overflows although its products stay finite.
     """
     settings = settings or ToleranceSettings()
     products = {}
@@ -150,7 +151,8 @@ def validate(collection, settings=None):
     for r in range(collection.N):
         for s in range(r + 1, collection.N):
             cls = structure.classify_pair(
-                collection.matrices[r], collection.matrices[s]
+                collection.matrices[r], collection.matrices[s],
+                (collection.names[r], collection.names[s]),
             )
             pairs.append({
                 "pair": [collection.names[r], collection.names[s]],

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numeric, spectral
-from .exceptions import DimensionMismatch
+from .exceptions import DimensionMismatch, NonFiniteValue
 
 
 def commutator(A, B):
@@ -81,11 +81,19 @@ class PairClassification:
         return self.shemesh_dimension >= 1
 
 
-def commutator_test(A, B, tol):
+def commutator_test(A, B, tol, pair=("A", "B")):
     """``(commuting, C, scale)``: whether C = [A, B] is at most
-    ``tol * scale`` in max norm, with scale = max(1, |A| |B|)."""
+    ``tol * scale`` in max norm, with scale = max(1, |A| |B|).
+
+    A scale that overflows would pass every commutator, so it raises
+    :class:`NonFiniteValue` naming ``pair``.
+    """
     C = commutator(A, B)
     scale = max(1.0, _max_abs(A) * _max_abs(B))
+    if not np.isfinite(scale):
+        raise NonFiniteValue(
+            f"the commutator scale |{pair[0]}| |{pair[1]}| of the pair "
+            f"{pair[0]}, {pair[1]} is not finite")
     return _max_abs(C) <= tol * scale, C, scale
 
 
@@ -95,12 +103,13 @@ def _commutes_with_commutator(M, C, scale, tol):
     return _max_abs(commutator(M, C)) <= tol * scale * max(1.0, _max_abs(M))
 
 
-def classify_pair(A, B):
-    """Classify one pair of matrices; see :class:`PairClassification`."""
+def classify_pair(A, B, pair=("A", "B")):
+    """Classify one pair of matrices, named ``pair`` in errors; see
+    :class:`PairClassification`."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     tol = numeric.RANK_TOL
-    commuting, C, scale = commutator_test(A, B, tol)
+    commuting, C, scale = commutator_test(A, B, tol, pair)
     quasi = (_commutes_with_commutator(A, C, scale, tol)
              and _commutes_with_commutator(B, C, scale, tol))
     rank, _ = numeric.rank_and_nullspace(C, tol=tol * scale)
@@ -125,7 +134,7 @@ def is_quasi_commuting(collection):
     for r in range(collection.N):
         for s in range(r + 1, collection.N):
             A, B = collection.matrices[r], collection.matrices[s]
-            _, C, scale = commutator_test(A, B, tol)
+            _, C, scale = commutator_test(A, B, tol, (names[r], names[s]))
             for side, M in ((r, A), (s, B)):
                 if not _commutes_with_commutator(M, C, scale, tol):
                     return False, (names[r], names[s], names[side])

@@ -13,6 +13,8 @@ import numpy as np
 from . import numeric, spectral
 from .exceptions import InvalidLetter, NotPeriodic, SpectralRadiusViolation
 
+_LARGEST = float(np.finfo(np.float64).max)
+
 
 @dataclass(frozen=True)
 class Word:
@@ -149,14 +151,18 @@ def iterate_to_fixed_point(step, z, tol, max_iter, bound):
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     z = np.asarray(z, dtype=np.float64).copy()
+    # |z| <= limit fails for a NaN or infinite |z| as well as past bound
+    limit = bound if bound < _LARGEST else _LARGEST
+    size = abs(z).max()
     for k in range(1, int(max_iter) + 1):
         z_next = step(z)
-        residual = float(np.max(np.abs(z_next - z)))
-        if not np.all(np.isfinite(z_next)) or np.max(np.abs(z_next)) > bound:
+        residual = float(abs(z_next - z).max())
+        size_next = abs(z_next).max()
+        if not size_next <= limit:
             return z_next, k, residual, "diverged"
-        if residual <= tol * (1.0 + float(np.max(np.abs(z)))):
+        if residual <= tol * (1.0 + float(size)):
             return z_next, k, residual, "converged"
-        z = z_next
+        z, size = z_next, size_next
     return z, int(max_iter), residual, "max_iter"
 
 

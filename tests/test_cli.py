@@ -361,3 +361,16 @@ def test_query_argument_error_goes_to_given_stream(ex2_path, capsys):
     assert err.startswith("input error: bad query arguments in 'limit --word A'")
     assert "required: --x" in err
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", [["classify", "--force"], ["validate"],
+                                  ["analyze", "--force", "--query", "classify"]])
+def test_overflowing_commutator_scale_exit_2(tmp_path, argv):
+    # AB - BA is finite but |A| |B| = 1e600 overflows; it read as commuting
+    path = tmp_path / "scale.json"
+    path.write_text(json.dumps({"dimension": 2, "matrices": {
+        "A": [["1e300", 0], [1, 0]], "B": [[0, 1], [0, "1e300"]]}}))
+    code, out, err = run_cli(argv[:1] + [str(path)] + argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("input error: the commutator scale |A| |B| of the pair A, B")
+    assert "Traceback" not in err

@@ -1,0 +1,299 @@
+"""Oracles for the hot loops: every fast kernel against the plain loop it
+replaces, compared bit for bit.
+
+The oracles are the straightforward per-element forms: the greedy tuple
+grouping, per-letter count tables, per-row products, one letter map at a
+time, and the fixed-point loop written with the numpy reductions.
+"""
+
+import contextlib
+import math
+import signal
+
+import numpy as np
+import pytest
+
+from matword import conemaps, infinite, numeric, words
+from matword.collection import MatrixCollection
+from matword.exceptions import DimensionMismatch
+
+
+def bits_equal(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# ---------------------------------------------------------------------------
+# tuple grouping
+
+
+def greedy_groups(tuples, tol_scale):
+    """Each tuple joins the first earlier representative within the scale."""
+    reps, groups = [], []
+    for idx, T in enumerate(tuples):
+        for g, rep in enumerate(reps):
+            if float(np.max(np.abs(T - rep))) <= tol_scale:
+                groups[g].append(idx)
+                break
+        else:
+            reps.append(T)
+            groups.append([idx])
+    return groups
+
+
+def planted_tuples(rng, count, q, n, distinct, tol_scale):
+    """Tuples drawn from ``distinct`` dyadic centres, each moved by 0,
+    exactly ``tol_scale`` or 2**-40 past it in one entry (all exact in
+    doubles), and one NaN tuple."""
+    centres = rng.integers(-8, 9, size=(distinct, q, n)) / 4.0
+    tuples = centres[rng.integers(0, distinct, size=count)].copy()
+    for idx in range(count):
+        moved = rng.integers(0, 3)
+        i, j = rng.integers(0, q), rng.integers(0, n)
+        if moved == 1:
+            tuples[idx, i, j] += tol_scale
+        elif moved == 2:
+            tuples[idx, i, j] += tol_scale + 2.0 ** -40
+    tuples[rng.integers(0, count), rng.integers(0, q), rng.integers(0, n)] = np.nan
+    return tuples
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tuple_groups_match_greedy_oracle(seed):
+    rng = np.random.default_rng(seed)
+    tol_scale = 2.0 ** -20
+    q, n = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+    count = int(rng.integers(1, 3 * infinite.CHUNK))
+    tuples = planted_tuples(rng, count, q, n, int(rng.integers(1, 12)), tol_scale)
+    with time_limit(30):
+        groups = infinite._tuple_groups(tuples, tol_scale)
+    assert groups == greedy_groups(list(tuples), tol_scale)
+    assert sorted(i for g in groups for i in g) == list(range(count))
+
+
+def test_tuple_groups_boundary_and_nan():
+    tol_scale = 2.0 ** -20
+    base = np.zeros((2, 3))
+    at, past, nan = base.copy(), base.copy(), base.copy()
+    at[1, 2] += tol_scale
+    past[0, 0] -= np.nextafter(tol_scale, 1.0)
+    nan[0, 1] = np.nan
+    tuples = np.array([base, nan, past, at, nan, base])
+    with time_limit(30):
+        groups = infinite._tuple_groups(tuples, tol_scale)
+    assert groups == [[0, 3, 5], [1], [2], [4]]
+    assert groups == greedy_groups(list(tuples), tol_scale)
+    with time_limit(30):
+        assert infinite._tuple_groups(tuples[[1]], tol_scale) == [[0]]
+
+
+# ---------------------------------------------------------------------------
+# letter counts and bulk letters
+
+
+def looped_phi_table(tau, p_max):
+    table = np.zeros((p_max + 1, tau.N), dtype=np.int64)
+    for p in range(1, p_max + 1):
+        table[p] = table[p - 1]
+        table[p, tau.letter(p - 1)] += 1
+    return table
+
+
+def sample_words():
+    periodic = infinite.InfiniteWord.periodic((0, 1, 1), N=2)
+    preperiodic = infinite.InfiniteWord.periodic((2, 0), N=3, preperiod=(1, 1, 0, 2))
+    seeded = infinite.InfiniteWord.from_seed(7, N=3)
+    return {
+        "periodic": periodic,
+        "preperiodic": preperiodic,
+        "preperiodic-shifted": preperiodic.shift(2),
+        "preperiodic-past-head": preperiodic.shift(5),
+        "seeded": seeded,
+        "seeded-shifted": seeded.shift(11),
+        "single": infinite.InfiniteWord.periodic((0,), N=1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(sample_words()))
+def test_letters_and_phi_table_match_per_letter_loop(name):
+    tau = sample_words()[name]
+    for start, count in [(0, 0), (0, 1), (0, 40), (3, 17), (9, 1), (50, 300)]:
+        got = tau.letters(start, count)
+        assert got.dtype == np.int64
+        assert got.tolist() == [tau.letter(start + i) for i in range(count)]
+    for p_max in (0, 1, 7, 400):
+        table = infinite.phi_table(tau, p_max)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, looped_phi_table(tau, p_max))
+    assert tau.prefix(13).letters == tuple(tau.letter(i) for i in range(13))
+
+
+# ---------------------------------------------------------------------------
+# batched matrix-vector products
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_mat_vec_batch_bit_equal_to_mat_vec(n):
+    rng = np.random.default_rng(100 + n)
+    for count in (1, 2, 33):
+        Ms = rng.normal(size=(count, n, n)) * rng.choice([1e-3, 1.0, 1e5], size=(count, 1, 1))
+        stacked = rng.normal(size=(count, 4, n))
+        for X in (stacked[:, 0], stacked[:, 3], np.ascontiguousarray(stacked[:, 1])):
+            got = numeric.mat_vec_batch(Ms, X)
+            expected = np.array([numeric.mat_vec(Ms[p], X[p]) for p in range(count)])
+            assert bits_equal(got, expected)
+
+
+def test_mat_vec_batch_rejects_mismatched_shapes():
+    with pytest.raises(DimensionMismatch):
+        numeric.mat_vec_batch(np.ones((3, 2, 2)), np.ones((2, 2)))
+    with pytest.raises(DimensionMismatch):
+        numeric.mat_vec_batch(np.ones((3, 2, 2)), np.ones((3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the fused cone block
+
+
+def cone_collection(rng, n, zeros):
+    mats = []
+    for _ in range(2):
+        M = rng.uniform(0.0, 1.5, size=(n, n))
+        M[rng.random(size=(n, n)) < zeros] = 0.0
+        mats.append(M)
+    return MatrixCollection(names=("A", "B"), matrices=tuple(mats))
+
+
+CONE_STARTS = {
+    "interior": lambda rng, n: rng.uniform(0.2, 5.0, size=n),
+    # exponents below log(TINY): flushed to zero, then the monomial form
+    "underflow": lambda rng, n: rng.uniform(0.5, 2.0, size=n) * 1e-300,
+    "boundary": lambda rng, n: np.where(np.arange(n) == 0, 0.0,
+                                        rng.uniform(0.2, 5.0, size=n)),
+    "nan": lambda rng, n: np.where(np.arange(n) == n - 1, np.nan,
+                                   rng.uniform(0.2, 5.0, size=n)),
+}
+
+
+@pytest.mark.parametrize("start", sorted(CONE_STARTS))
+@pytest.mark.parametrize("seed", range(4))
+def test_cone_block_bit_equal_to_word_cone_apply(start, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    coll = cone_collection(rng, n, zeros=0.3 * (seed % 2))
+    word = words.Word(tuple(int(l) for l in rng.integers(0, 2, size=rng.integers(1, 4))))
+    q = int(rng.integers(1, 5))
+    y = CONE_STARTS[start](rng, n)
+    maps = [conemaps.ConeMap(M) for M in coll.matrices]
+    step = conemaps._block_map(maps, word, q)
+    with np.errstate(all="ignore"):
+        fused = expected = y
+        for _ in range(3):
+            fused = step(fused)
+            for _ in range(q):
+                expected = conemaps.word_cone_apply(coll, word, expected)
+            assert bits_equal(fused, expected)
+
+
+def test_log_domain_step_matches_the_where_form():
+    # exponents between log(TINY) ~ -708 and -745 give subnormal exp values,
+    # which the step must flush to exact zero
+    rng = np.random.default_rng(5)
+    flushed = 0
+    for n in range(1, 7):
+        M = rng.uniform(0.0, 1.0, size=(n, n))
+        M *= rng.uniform(1.0, 1.1, size=(n, 1)) / M.sum(axis=1, keepdims=True)
+        for y in (rng.uniform(0.5, 2.0, size=n) * 1e-300, rng.uniform(0.2, 5.0, size=n)):
+            exponents = numeric.mat_vec(M, np.log(y))
+            underflow = exponents < conemaps._LOG_TINY
+            value, mask = conemaps._log_domain(M, y)
+            assert bits_equal(value, np.where(underflow, 0.0, np.exp(exponents)))
+            assert np.array_equal(mask, underflow)
+            flushed += int((underflow & (np.exp(exponents) > 0.0)).sum())
+    assert flushed > 0
+
+
+def test_cone_block_meets_the_boundary():
+    A = np.array([[1.0, 0.0], [0.0, 2.0]])
+    coll = MatrixCollection(names=("A",), matrices=(A,))
+    y = np.array([3.0, 1e-200])
+    step = conemaps._block_map([conemaps.ConeMap(A)], words.Word((0,)), 2)
+    z = step(y)
+    assert z[1] == 0.0 and z[0] > 0.0
+    assert bits_equal(step(z), conemaps.word_cone_apply(
+        coll, words.Word((0, 0)), z))
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point loop
+
+
+def reduction_loop(step, z, tol, max_iter, bound):
+    """The fixed-point loop written with np.max / np.isfinite."""
+    z = np.asarray(z, dtype=np.float64).copy()
+    for k in range(1, int(max_iter) + 1):
+        z_next = step(z)
+        residual = float(np.max(np.abs(z_next - z)))
+        if not np.all(np.isfinite(z_next)) or np.max(np.abs(z_next)) > bound:
+            return z_next, k, residual, "diverged"
+        if residual <= tol * (1.0 + float(np.max(np.abs(z)))):
+            return z_next, k, residual, "converged"
+        z = z_next
+    return z, int(max_iter), residual, "max_iter"
+
+
+def after(k, value, rate=0.5):
+    """A contraction that puts ``value`` into entry 0 at step k."""
+    count = [0]
+
+    def step(z):
+        count[0] += 1
+        out = rate * z
+        if count[0] == k:
+            out[0] = value
+        return out
+
+    return step
+
+
+FIXED_POINT_CASES = {
+    "nan": (lambda: after(3, np.nan), 1e12),
+    "inf": (lambda: after(2, np.inf), 1e12),
+    "minus-inf": (lambda: after(4, -np.inf), 1e12),
+    "past-bound": (lambda: after(5, 2e12), 1e12),
+    "at-bound": (lambda: after(5, 1e12), 1e12),
+    "inf-with-infinite-bound": (lambda: after(2, np.inf), np.inf),
+    "nan-bound": (lambda: after(3, 1e300), np.nan),
+    "growth": (lambda: (lambda z: 3.0 * z), 1e12),
+    "converges": (lambda: (lambda z: 0.5 * z), 1e12),
+    "slow": (lambda: (lambda z: 0.9999 * z), 1e12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_POINT_CASES))
+def test_fixed_point_loop_matches_reduction_loop(name):
+    make, bound = FIXED_POINT_CASES[name]
+    z0 = np.array([1.0, -2.0, 0.25])
+    with np.errstate(all="ignore"):
+        got = words.iterate_to_fixed_point(make(), z0, 1e-10, 200, bound)
+        expected = reduction_loop(make(), z0, 1e-10, 200, bound)
+    assert bits_equal(got[0], expected[0])
+    assert got[1:2] == expected[1:2] and got[3] == expected[3]
+    assert got[2] == expected[2] or (math.isnan(got[2]) and math.isnan(expected[2]))
+    if name in ("nan", "inf", "minus-inf", "past-bound", "inf-with-infinite-bound",
+                "growth"):
+        assert got[3] == "diverged"

@@ -31,6 +31,25 @@ def test_no_threshold_literal_outside_numeric():
     assert small_float_literals() == []
 
 
+def einsum_calls():
+    """``file:line`` for every use of ``einsum`` outside ``numeric.py``,
+    the one module that fixes the summation order of products."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "numeric.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = node.attr if isinstance(node, ast.Attribute) else (
+                node.id if isinstance(node, ast.Name) else None)
+            if name == "einsum":
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_einsum_outside_numeric():
+    assert einsum_calls() == []
+
+
 def test_tolerance_settings_default_to_the_named_policy():
     assert reporting.ToleranceSettings().as_dict() == {
         "tol": numeric.CONVERGENCE_TOL,

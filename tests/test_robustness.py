@@ -51,6 +51,26 @@ def test_overflowing_product_exits_2(name):
     assert "Traceback" not in proc.stderr
 
 
+#: a pair whose products stay finite but whose commutator scale |A| |B|
+#: overflows; the test passed every commutator and read it as commuting
+SCALE_OVERFLOW_DOCUMENT = {"dimension": 2, "matrices": {
+    "A": [["1e300", 0], [1, 0]], "B": [[0, 1], [0, "1e300"]]}}
+
+
+@pytest.mark.parametrize("command", [["classify", "-", "--force"], ["validate", "-"]])
+def test_overflowing_commutator_scale_exits_2(command):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-m", "matword.cli", *command],
+                          input=json.dumps(SCALE_OVERFLOW_DOCUMENT),
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("input error: the commutator scale")
+    assert "Traceback" not in proc.stderr
+
+
 def _finite_only(name, fn):
     def wrapper(*args, **kwargs):
         for arg in args[:2]:  # svd(a), eigvals(a), lstsq(a, b)
