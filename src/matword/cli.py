@@ -46,6 +46,8 @@ def _tau_from_arg(text, collection):
             seed = int(text[len("seed:"):])
         except ValueError as exc:
             raise ParseError(f"bad seed in {text!r}") from exc
+        if seed < 0:
+            raise ParseError(f"seed in {text!r} must be nonnegative")
         return infinite.InfiniteWord.from_seed(seed, collection.N)
     raise ParseError(f"infinite word {text!r} must be periodic:... or seed:...")
 

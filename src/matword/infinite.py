@@ -26,8 +26,8 @@ MAX_BUDGET = 100_000
 #: scan cap while locating the first-coverage time m of a seeded stream
 COVERAGE_SCAN_CAP = 100_000
 
-#: prefixes per batch of orbit-tuple rows, and tuples per batch of the
-#: grouping test: bounds the working memory beyond the tuple array
+#: prefixes per batch of orbit-tuple rows: bounds the working memory
+#: beyond the tuple array
 CHUNK = 256
 
 
@@ -284,29 +284,6 @@ def _prefix_tuples(collection, tau, m, xi, q, budget):
     return tuples
 
 
-def _tuple_groups(tuples, tol_scale):
-    """Group indices of componentwise-equal tuples (sup norm within scale).
-
-    Each tuple joins the first earlier representative within the scale or
-    becomes one.  Equivalently, as computed: the earliest ungrouped tuple
-    becomes a representative and claims every later ungrouped tuple within
-    the scale.  A tuple with a NaN entry is within no scale of anything.
-    """
-    tuples = np.asarray(tuples)
-    free = np.arange(len(tuples))
-    groups = []
-    while free.size:
-        rep, rest = free[0], free[1:]
-        claimed = np.empty(rest.size, dtype=bool)
-        for start in range(0, rest.size, CHUNK):
-            diff = tuples[rest[start:start + CHUNK]] - tuples[rep]
-            sup = np.abs(diff, out=diff).max(axis=(1, 2))
-            claimed[start:start + CHUNK] = sup <= tol_scale
-        groups.append([int(rep)] + rest[claimed].tolist())
-        free = rest[~claimed]
-    return groups
-
-
 def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL,
                    limit_tol=numeric.CONVERGENCE_TOL):
     """Search for prefix lengths with equal orbit tuples and extract the
@@ -317,8 +294,14 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
     every x, the tuple takes at most q**kappa values, and a budget of
     q**kappa + 1 evaluations always finds a repeat.
 
-    Memory is O(budget * q * n) for the tuples plus one CHUNK of prefix
-    products and of the grouping test.
+    Integer keys decide and floats check: the orbit tuple at prefix p
+    depends only on the key sum_r lambdas[r, j] * Phi_r(p) mod q, so the
+    chosen prefixes are the largest group of equal keys, ties going to the
+    earliest first prefix.  Each chosen float tuple must lie within
+    tol * (1 + |xi|) of the first, or HypothesesNotMet is raised.
+
+    Memory is O(p * q * n) for the tuples up to the last chosen prefix p,
+    plus one CHUNK of prefix products and of the check.
     """
     _check_q2_hypotheses(collection, tol=tol * numeric.SLACK)
     system = structure.common_eigenvectors(collection)
@@ -348,17 +331,6 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
     xi = first.xi
     tol_scale = tol * (1.0 + float(np.max(np.abs(xi))))
 
-    tuples = _prefix_tuples(collection, tau, m, xi, q, search_budget)
-    groups = _tuple_groups(tuples, tol_scale)
-    groups.sort(key=lambda g: (-len(g), g[0]))
-    best = groups[0]
-    if len(best) < 2:
-        raise BudgetExhausted(
-            f"no repeated orbit tuple among {search_budget} prefixes; "
-            f"q**kappa + 1 = {q**kappa + 1} evaluations always suffice"
-        )
-    p_gammas = tuple(m + i for i in best)
-
     lambdas = np.zeros((collection.N, kappa), dtype=np.int64)
     for j in range(kappa):
         if j not in support:
@@ -373,7 +345,29 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
                 )
             lambdas[r, j] = k
 
-    table = phi_table(tau, p_gammas[-1])
+    table = phi_table(tau, m + search_budget - 1)
+    groups = {}  # insertion order: by first prefix
+    for i, key in enumerate(map(tuple, ((table[m:] @ lambdas) % q).tolist())):
+        groups.setdefault(key, []).append(i)
+    best = max(groups.values(), key=len)
+    if len(best) < 2:
+        raise BudgetExhausted(
+            f"no repeated orbit tuple among {search_budget} prefixes; "
+            f"q**kappa + 1 = {q**kappa + 1} evaluations always suffice"
+        )
+    p_gammas = tuple(m + i for i in best)
+
+    tuples = _prefix_tuples(collection, tau, m, xi, q, best[-1] + 1)
+    for start in range(0, len(best), CHUNK):
+        rows = best[start:start + CHUNK]
+        gaps = np.abs(tuples[rows] - tuples[best[0]]).max(axis=(1, 2))
+        for i, gap in zip(rows, gaps.tolist()):
+            if not gap <= tol_scale:  # NaN included
+                raise HypothesesNotMet(
+                    f"orbit tuples at prefixes {m + best[0]} and {m + i} "
+                    f"differ by {gap:.3g} although their letter-count keys agree"
+                )
+
     deltas = table[list(p_gammas[1:])] - table[p_gammas[0]]
     residues = (deltas @ lambdas) % q
     return Q2Certificate(

@@ -283,9 +283,12 @@ EX2_X = "2,0,2,0,0,0"
     ["validate", "--rho-tol", "0"],
     ["analyze", "--query", f"q2 --tau periodic:AB --x {EX2_X} --budget -3"],
     ["analyze", "--query", 'limit --word "AB'],
+    ["q2", "--tau", "seed:-1", "--x", EX2_X],
+    ["analyze", "--query", f"q2 --tau seed:-1 --x {EX2_X}"],
 ], ids=["limit-max-iter", "period-max-iter", "cone-limit-max-iter",
         "q2-budget", "tol-negative", "tol-nan", "bound-inf", "rho-tol-zero",
-        "analyze-q2-budget", "analyze-unbalanced-quote"])
+        "analyze-q2-budget", "analyze-unbalanced-quote", "q2-seed-negative",
+        "analyze-q2-seed-negative"])
 def test_bad_flag_value_exit_2(ex2_path, argv):
     code, out, err = run_cli([argv[0], ex2_path] + argv[1:])
     assert code == 2

@@ -2,20 +2,20 @@
 replaces, compared bit for bit.
 
 The oracles are the straightforward per-element forms: the greedy tuple
-grouping, per-letter count tables, per-row products, one letter map at a
-time, and the fixed-point loop written with the numpy reductions.
+grouping (against q2's integer keys), per-letter count tables, per-row
+products, one letter map at a time, and the fixed-point loop written with
+the numpy reductions.
 """
 
-import contextlib
 import math
-import signal
 
 import numpy as np
 import pytest
 
+from helpers import random_commuting_collection, random_covering_word
 from matword import conemaps, infinite, numeric, words
 from matword.collection import MatrixCollection
-from matword.exceptions import DimensionMismatch
+from matword.exceptions import BudgetExhausted, DimensionMismatch
 
 
 def bits_equal(a, b):
@@ -23,22 +23,8 @@ def bits_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-@contextlib.contextmanager
-def time_limit(seconds):
-    def expire(signum, frame):
-        raise TimeoutError(f"did not finish within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 # ---------------------------------------------------------------------------
-# tuple grouping
+# q2 prefix grouping
 
 
 def greedy_groups(tuples, tol_scale):
@@ -55,50 +41,43 @@ def greedy_groups(tuples, tol_scale):
     return groups
 
 
-def planted_tuples(rng, count, q, n, distinct, tol_scale):
-    """Tuples drawn from ``distinct`` dyadic centres, each moved by 0,
-    exactly ``tol_scale`` or 2**-40 past it in one entry (all exact in
-    doubles), and one NaN tuple."""
-    centres = rng.integers(-8, 9, size=(distinct, q, n)) / 4.0
-    tuples = centres[rng.integers(0, distinct, size=count)].copy()
-    for idx in range(count):
-        moved = rng.integers(0, 3)
-        i, j = rng.integers(0, q), rng.integers(0, n)
-        if moved == 1:
-            tuples[idx, i, j] += tol_scale
-        elif moved == 2:
-            tuples[idx, i, j] += tol_scale + 2.0 ** -40
-    tuples[rng.integers(0, count), rng.integers(0, q), rng.integers(0, n)] = np.nan
-    return tuples
+def q2_cases():
+    """(collection, tau, x, budget) on seeded commuting families: periodic
+    and seeded taus, x with one or two nonzero entries, small budgets."""
+    rng = np.random.default_rng(2027)
+    for _ in range(10):
+        coll = random_commuting_collection(rng, max_n=6)
+        cycle = random_covering_word(rng, coll.N, 5).letters
+        taus = [infinite.InfiniteWord.periodic(cycle, N=coll.N),
+                infinite.InfiniteWord.from_seed(int(rng.integers(0, 1000)), coll.N)]
+        for tau in taus:
+            for nonzero in (1, 2):
+                x = np.zeros(coll.n)
+                x[rng.choice(coll.n, size=min(nonzero, coll.n), replace=False)] = 1.0
+                for budget in (2, 3, 5, 9):
+                    yield coll, tau, x, budget
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_tuple_groups_match_greedy_oracle(seed):
-    rng = np.random.default_rng(seed)
-    tol_scale = 2.0 ** -20
-    q, n = int(rng.integers(1, 7)), int(rng.integers(1, 6))
-    count = int(rng.integers(1, 3 * infinite.CHUNK))
-    tuples = planted_tuples(rng, count, q, n, int(rng.integers(1, 12)), tol_scale)
-    with time_limit(30):
-        groups = infinite._tuple_groups(tuples, tol_scale)
-    assert groups == greedy_groups(list(tuples), tol_scale)
-    assert sorted(i for g in groups for i in g) == list(range(count))
-
-
-def test_tuple_groups_boundary_and_nan():
-    tol_scale = 2.0 ** -20
-    base = np.zeros((2, 3))
-    at, past, nan = base.copy(), base.copy(), base.copy()
-    at[1, 2] += tol_scale
-    past[0, 0] -= np.nextafter(tol_scale, 1.0)
-    nan[0, 1] = np.nan
-    tuples = np.array([base, nan, past, at, nan, base])
-    with time_limit(30):
-        groups = infinite._tuple_groups(tuples, tol_scale)
-    assert groups == [[0, 3, 5], [1], [2], [4]]
-    assert groups == greedy_groups(list(tuples), tol_scale)
-    with time_limit(30):
-        assert infinite._tuple_groups(tuples[[1]], tol_scale) == [[0]]
+def test_q2_chooses_the_largest_greedy_tuple_group():
+    """q2's integer keys pick the largest group of the greedy float
+    grouping of the orbit tuples, ties going to the earliest group."""
+    ties = exhausted = 0
+    for coll, tau, x, budget in q2_cases():
+        q, m = words.global_period(coll).q, tau.m
+        xi = infinite.a_tilde(coll, tau.prefix(m), q, x).xi
+        tol_scale = numeric.TUPLE_TOL * (1.0 + float(np.max(np.abs(xi))))
+        tuples = infinite._prefix_tuples(coll, tau, m, xi, q, budget)
+        groups = greedy_groups(list(tuples), tol_scale)
+        best = min(groups, key=lambda g: (-len(g), g[0]))
+        if len(best) < 2:
+            exhausted += 1
+            with pytest.raises(BudgetExhausted):
+                infinite.q2_certificate(coll, tau, x, search_budget=budget)
+            continue
+        ties += sum(len(g) == len(best) for g in groups) > 1
+        cert = infinite.q2_certificate(coll, tau, x, search_budget=budget)
+        assert cert.p_gammas == tuple(m + i for i in best)
+    assert ties and exhausted
 
 
 # ---------------------------------------------------------------------------

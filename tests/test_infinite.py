@@ -1,7 +1,10 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
-from matword import corpus, infinite, structure, words
+from matword import cli, corpus, infinite, numeric, structure, words
 from matword.collection import MatrixCollection
 from matword.exceptions import BudgetExhausted, HypothesesNotMet, InvalidLetter
 
@@ -161,6 +164,38 @@ def test_q2_certificate_budget_exhausted():
     x = np.real(entry.vectors["v1"] + entry.vectors["v2"])
     with pytest.raises(BudgetExhausted):
         infinite.q2_certificate(coll, tau, x, search_budget=1)
+
+
+@pytest.mark.parametrize("shift", [2.0, np.nan], ids=["twice-the-scale", "nan"])
+def test_q2_cross_check_rejects_a_moved_tuple(monkeypatch, tmp_path, shift):
+    """Equal keys whose float tuples differ by more than the tolerance, or
+    by NaN, raise HypothesesNotMet, which the CLI reports with exit 4."""
+    coll = ENTRIES["example2"].collection
+    tau = infinite.InfiniteWord.periodic((0, 1), N=2)
+    x = np.array([2.0, 0.0, 2.0, 0.0, 0.0, 0.0])
+    cert = infinite.q2_certificate(coll, tau, x)
+    moved = cert.p_gammas[1] - cert.m
+    prefix_tuples = infinite._prefix_tuples
+
+    def moved_tuples(collection, tau, m, xi, q, budget):
+        tuples = prefix_tuples(collection, tau, m, xi, q, budget)
+        tuples[moved, 1, 0] += shift * numeric.TUPLE_TOL * (1.0 + np.max(np.abs(xi)))
+        return tuples
+
+    monkeypatch.setattr(infinite, "_prefix_tuples", moved_tuples)
+    named = f"prefixes {cert.p_gammas[0]} and {cert.p_gammas[1]} differ"
+    with pytest.raises(HypothesesNotMet, match=named):
+        infinite.q2_certificate(coll, tau, x)
+
+    doc = tmp_path / "ex2.json"
+    doc.write_text(json.dumps({"dimension": coll.n, "matrices": {
+        name: coll[name].tolist() for name in coll.names}}))
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main(["q2", str(doc), "--tau", "periodic:AB", "--x", "2,0,2,0,0,0",
+                     "--format", "machine"], stdout=out, stderr=err)
+    assert code == 4
+    error = json.loads(out.getvalue())["queries"][0]["error"]
+    assert error.startswith("HypothesesNotMet: orbit tuples at " + named)
 
 
 def test_q2_certificate_rejects_noncommuting():

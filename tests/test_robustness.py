@@ -119,6 +119,7 @@ def extreme_runs(draw):
     document = json.dumps({"dimension": n,
                            "matrices": {name: draw(square) for name in names}})
     word = "".join(draw(st.lists(st.sampled_from(names), min_size=1, max_size=3)))
+    tau = draw(st.just(f"periodic:{word}") | st.integers(-2, 99).map("seed:{}".format))
     x = ",".join(draw(st.lists(VECTOR_ENTRIES, min_size=n, max_size=n)))
     y = ",".join(draw(st.lists(st.sampled_from(["1", "1e-300", "1e300", "2"]),
                                min_size=n, max_size=n)))
@@ -127,7 +128,7 @@ def extreme_runs(draw):
         ["limit", "--word", word, "--x", x],
         ["period", "--word", word, "--x", x],
         ["cone-limit", "--word", word, "--y", y],
-        ["q2", "--tau", f"periodic:{word}", "--x", x, "--budget", "20"],
+        ["q2", "--tau", tau, "--x", x, "--budget", "20"],
     ]))
     argv = query[:1] + ["-"] + query[1:] + ["--max-iter", "50", "--format", "machine"]
     if draw(st.booleans()):
@@ -153,7 +154,7 @@ FLAG_TOKENS = st.sampled_from([
     "--tol", "--rho-tol", "--max-iter", "--bound", "--force", "--format",
     "machine", "human", "--word", "--x", "--y", "--tau", "--budget", "--query",
     "A", "AB", "BA", "C", "1,0", "1,2", "0", "1", "-1", "3", "1e-12", "nan",
-    "inf", "1e400", "periodic:AB", "periodic:A|B", "seed:3", "seed:x", "-",
+    "inf", "1e400", "periodic:AB", "periodic:A|B", "seed:3", "seed:-1", "seed:x", "-",
     "", "limit --word AB --x 1,0", "q2 --tau periodic:AB --x 1,0", "classify",
 ]) | st.text(max_size=8)
 
