@@ -246,7 +246,9 @@ def _add_common_flags(parser):
                         help="acceptance band for spectral radius one "
                              f"(default {numeric.CLUSTER_TOL:g})")
     parser.add_argument("--max-iter", type=int, default=None, dest="max_iter",
-                        help=f"cap on q-block iterations (default {numeric.MAX_ITER})")
+                        help="cap on the q-blocks a limit may cover: doubling stops "
+                             "before it would pass the cap, stepping at it "
+                             f"(default {numeric.MAX_ITER})")
     parser.add_argument("--bound", type=float, default=None,
                         help="divergence threshold on the orbit norm "
                              f"(default {numeric.BOUND:g})")

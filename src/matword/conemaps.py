@@ -160,18 +160,48 @@ class ConeLimitResult:
         return self.status == "converged"
 
 
+def _conjugated_limit(maps, word, q, x, linear, tol, bound):
+    """eta = exp(xi) from the linear limit xi of x = log(y), certified by
+    one monomial pass of f_w^q; None when the route does not apply."""
+    if not (linear.converged and x.min() > _LOG_TINY and linear.xi.min() > _LOG_TINY):
+        return None
+    with np.errstate(all="ignore"):
+        eta = exp_map(linear.xi)
+        size = float(eta.max())
+        if not size <= bound:
+            return None
+        image = eta
+        for cone_map in [maps[letter] for letter in word.letters] * int(q):
+            image = cone_map.monomial_apply(image)
+        residual = float(abs(image - eta).max())
+    if not residual <= tol * (1.0 + size):
+        return None
+    return ConeLimitResult(eta, linear.iterations, residual, "converged",
+                           residual / (1.0 + size))
+
+
 def cone_limit(collection, word, y, q, tol=numeric.CONVERGENCE_TOL,
                max_iter=numeric.MAX_ITER, bound=numeric.BOUND, system=None):
-    """Limit of f_w^{k q}(y), computed twice and cross-checked.
+    """Limit eta of f_w^{k q}(y): the conjugated linear limit, certified
+    by the monomial form, else the q-block iteration.
 
-    The iterative route applies f_w in q-blocks under the convergence rule
-    of :func:`~matword.words.iterate_to_fixed_point`; the conjugated route
-    exponentiates the linear limit of log(y).  ``path_agreement`` records
-    their relative sup-norm distance (must be small whenever both converge).
+    In the interior f_w^q = exp . (A_w)^q . log holds exactly, so the
+    linear limit xi of log(y) (:func:`~matword.words.limit_point`) gives
+    eta = exp(xi).  That eta is the result when xi converged, log(y) and
+    xi stay above log(TINY) (no coordinate is flushed), |eta| <= bound,
+    and one pass of f_w^q in the monomial product form (no logs) lands
+    within ``tol * (1 + |eta|)`` of eta.  Then ``residual`` is that
+    distance, ``path_agreement`` is residual / (1 + |eta|) (log route
+    against monomial route) and ``iterations`` is xi's q-block count.
+
+    Otherwise f_w is iterated in q-blocks from y under the rule of
+    :func:`~matword.words.iterate_to_fixed_point`, and ``path_agreement``
+    is the relative sup-norm distance of its limit from exp(xi) when both
+    converged (NaN otherwise).
 
     Convergence is guaranteed when log(y) lies in LC(E'); if a common
     eigensystem is supplied (or computable) and the membership test fails,
-    a warning is emitted and the iteration proceeds anyway.
+    a warning is emitted and the computation proceeds anyway.
     """
     y = np.asarray(y, dtype=np.float64)
     x = log_map(y)
@@ -183,19 +213,21 @@ def cone_limit(collection, word, y, q, tol=numeric.CONVERGENCE_TOL,
             stacklevel=2,
         )
 
+    linear = words.limit_point(collection, word, x, q, tol=tol,
+                               max_iter=max_iter, bound=bound)
     maps = [ConeMap(M) for M in collection.matrices]
+    conjugated = _conjugated_limit(maps, word, q, x, linear, tol, bound)
+    if conjugated is not None:
+        return conjugated
+
     z, iterations, residual, status = words.iterate_to_fixed_point(
         _block_map(maps, word, q), y, tol, max_iter, bound)
-
     agreement = float("nan")
-    if status == "converged":
-        linear = words.limit_point(collection, word, x, q, tol=tol,
-                                   max_iter=max_iter, bound=bound)
-        if linear.converged:
-            eta_lin = exp_map(linear.xi)
-            agreement = float(
-                np.max(np.abs(z - eta_lin)) / (1.0 + np.max(np.abs(eta_lin)))
-            )
+    if status == "converged" and linear.converged:
+        eta_lin = exp_map(linear.xi)
+        agreement = float(
+            np.max(np.abs(z - eta_lin)) / (1.0 + np.max(np.abs(eta_lin)))
+        )
     return ConeLimitResult(z, iterations, residual, status, agreement)
 
 

@@ -140,6 +140,18 @@ def mat_vec_batch(Ms, X):
     return np.einsum("pij,pj->pi", Ms, X, optimize=False)
 
 
+def left_products(matrices, letters, M, out):
+    """``out[i] = matrices[letters[i]] @ out[i - 1]``, with ``out[-1]``
+    read as M; returns the last product (M when ``letters`` is empty).
+
+    Bit for bit the chain of :func:`mat_mul` calls: the same einsum runs
+    into ``out`` without the wrapper's checks on each step.
+    """
+    for i, letter in enumerate(letters):
+        M = np.einsum("ij,jk->ik", matrices[letter], M, optimize=False, out=out[i])
+    return M
+
+
 def mat_power(A, k):
     """k-th power by repeated :func:`mat_mul` (k is desk-scale here)."""
     A = require_square(np.asarray(A))
@@ -149,6 +161,12 @@ def mat_power(A, k):
     for _ in range(int(k)):
         out = mat_mul(out, A)
     return out
+
+
+def vector_norm(v):
+    """Euclidean norm by ``hypot``, which cannot overflow where the sum of
+    squares would (entries near 1e300)."""
+    return float(np.hypot.reduce(np.abs(v), initial=0.0))
 
 
 def operator_norm(A):

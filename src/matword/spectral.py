@@ -160,7 +160,7 @@ def eigendecompose(A):
             v = canonical_phase(basis[:, col])
             Av = numeric.mat_vec(A, v)
             lam = realify(np.vdot(v, Av), cluster_tol)  # Rayleigh quotient
-            residual = float(np.linalg.norm(Av - lam * v))
+            residual = numeric.vector_norm(Av - lam * v)
             pairs.append(
                 EigenPair(lam, v, residual, algebraic=algebraic, geometric=geometric)
             )

@@ -287,7 +287,7 @@ def common_eigenvectors(collection, tol=numeric.CLUSTER_TOL):
             for M, nrm in zip(collection.matrices, norms):
                 image = numeric.mat_vec(M.astype(np.complex128), v)
                 lam = spectral.realify(np.vdot(v, image), tol)
-                if np.linalg.norm(image - lam * v) > numeric.SLACK * tol * nrm:
+                if numeric.vector_norm(image - lam * v) > numeric.SLACK * tol * nrm:
                     ok = False
                     break
                 lams.append(lam)

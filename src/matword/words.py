@@ -141,7 +141,9 @@ class LimitResult:
 
 
 def iterate_to_fixed_point(step, z, tol, max_iter, bound):
-    """Iterate z -> step(z) until it settles; the one convergence policy.
+    """Iterate z -> step(z) one block at a time until it settles: the
+    stepping rule, which :func:`limit_point` falls back on and the cone
+    iteration follows.
 
     Convergence: sup-norm step difference at most ``tol * (1 + |z|)``.
     A non-finite iterate or one past ``bound`` in sup norm is divergence.
@@ -179,16 +181,50 @@ def first_period(step, z, q, atol):
 
 def limit_point(collection, word, x, q, tol=numeric.CONVERGENCE_TOL,
                 max_iter=numeric.MAX_ITER, bound=numeric.BOUND):
-    """Iterate z -> (A_w)^q z to the limit point xi.
+    """The limit point xi of x under z -> (A_w)^q z, by repeated squaring.
 
-    Convergence and divergence follow :func:`iterate_to_fixed_point`;
-    both are reported through the status, never raised.
+    With B = (A_w)^q, z_{-1} = x and z_k = B^(2^k) x, where B^(2^k) is
+    formed by squaring: the limit has converged at the first k with
+    |z_k - z_{k-1}| <= tol * (1 + |z_{k-1}|) in sup norm, once one more
+    block moves z_k by at most tol * (1 + |z_k|) (which rejects a
+    doubling that only hides a negative or 2^j-th root eigenvalue).
+    ``iterations`` counts q-blocks, 2^k; a fixed point reports 1, and the
+    residual is the step across the last doubling.  |z_k| past ``bound``
+    (or not finite) is divergence.  The loop stops with max_iter before a
+    doubling would pass ``max_iter`` blocks.  If B^(2^k) overflows while
+    z_k is bounded, :func:`iterate_to_fixed_point` steps on from z_k with
+    the blocks left.  Every outcome is a status, never an exception;
+    only ``q`` or ``max_iter`` below one raises.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    Bq = numeric.mat_power(word_product(collection, word), q)
-    return LimitResult(*iterate_to_fixed_point(
-        lambda z: numeric.mat_vec(Bq, z), x, tol, max_iter, bound))
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    B = numeric.mat_power(word_product(collection, word), q)
+    x = np.asarray(x, dtype=np.float64)
+    limit = bound if bound < _LARGEST else _LARGEST
+    power, blocks = B, 1
+    z, size = x, abs(x).max()
+    with np.errstate(all="ignore"):
+        while True:
+            z_next = numeric.mat_vec(power, x)
+            residual = float(abs(z_next - z).max())
+            size_next = abs(z_next).max()
+            if not size_next <= limit:
+                return LimitResult(z_next, blocks, residual, "diverged")
+            if (residual <= tol * (1.0 + float(size))
+                    and abs(numeric.mat_vec(B, z_next) - z_next).max()
+                    <= tol * (1.0 + float(size_next))):
+                return LimitResult(z_next, blocks, residual, "converged")
+            z, size = z_next, size_next
+            if 2 * blocks > max_iter:
+                return LimitResult(z, blocks, residual, "max_iter")
+            power = numeric.mat_mul(power, power)
+            if not np.isfinite(power).all():
+                z, steps, residual, status = iterate_to_fixed_point(
+                    lambda v: numeric.mat_vec(B, v), z, tol, max_iter - blocks, bound)
+                return LimitResult(z, blocks + steps, residual, status)
+            blocks *= 2
 
 
 def spectral_limit(system, coeffs):

@@ -1,4 +1,5 @@
-"""Shared random generators for the property and acceptance suites.
+"""Shared random generators for the property and acceptance suites, and
+the bitwise comparison of the hot-loop oracles.
 
 Random commuting diagonalizable families are built simultaneously
 block-diagonal: shared permutation cycles (each matrix applies its own
@@ -13,6 +14,13 @@ from matword.collection import MatrixCollection
 from matword.words import Word
 
 NAMES = "ABC"
+
+
+def bits_equal(a, b):
+    """Same shape and the same float64 bit patterns (NaNs and signed zeros
+    included)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def cycle_matrix(size):

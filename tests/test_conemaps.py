@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import bits_equal, random_commuting_collection, random_covering_word
 from matword import conemaps, corpus, numeric, structure, words
 from matword.collection import MatrixCollection
 from matword.exceptions import BoundaryPoint
+from test_acceptance import SEED_SPECTRAL_VS_ITERATIVE
 
 ENTRIES = corpus.build_corpus()
 
@@ -205,6 +207,92 @@ def test_cone_limit_and_limit_point_share_the_max_iter_rule():
                             system=system)
     with pytest.raises(ValueError, match="max_iter"):
         words.limit_point(coll, w, np.log(entry.data["point"]), 4, max_iter=0)
+
+
+def test_limits_match_spectral_limit_to_rounding():
+    """xi, and eta = exp(xi), agree with the closed-form spectral limit to
+    1e-12 relative on the families of acceptance criterion 10e."""
+    rng = np.random.default_rng(SEED_SPECTRAL_VS_ITERATIVE)
+    for _ in range(500):
+        coll = random_commuting_collection(rng)
+        system = structure.common_eigenvectors(coll)
+        cert = words.global_period(coll)
+        x = rng.normal(size=coll.n)
+        closed = words.spectral_limit(system, structure.lc_membership(x, system, tol=1e-7))
+        w = random_covering_word(rng, coll.N)
+        xi = words.limit_point(coll, w, x, cert.q).xi
+        assert np.max(np.abs(xi - closed)) <= 1e-12 * (1.0 + np.max(np.abs(xi)))
+        cone = conemaps.cone_limit(coll, w, np.exp(x), cert.q, system=system)
+        assert cone.converged
+        gap = np.max(np.abs(cone.eta - np.exp(closed)))
+        assert gap <= 1e-12 * (1.0 + np.max(np.abs(cone.eta)))
+
+
+def test_cone_limit_takes_the_conjugated_route():
+    entry = ENTRIES["example8"]
+    coll = entry.collection
+    w = words.Word.from_names("ABB", coll)
+    y = entry.data["point"]
+    linear = words.limit_point(coll, w, np.log(y), 4)
+    result = conemaps.cone_limit(coll, w, y, q=4)
+    assert result.converged and result.iterations == linear.iterations
+    assert np.array_equal(result.eta, np.exp(linear.xi))
+    assert result.path_agreement == result.residual / (1.0 + np.max(result.eta))
+
+
+def iterated_cone_limit(coll, word, y, q, max_iter):
+    """The q-block iteration, with its agreement against exp(xi)."""
+    maps = [conemaps.ConeMap(M) for M in coll.matrices]
+    tol, bound = numeric.CONVERGENCE_TOL, numeric.BOUND
+    z, iterations, residual, status = words.iterate_to_fixed_point(
+        conemaps._block_map(maps, word, q), y, tol, max_iter, bound)
+    linear = words.limit_point(coll, word, np.log(y), q, max_iter=max_iter)
+    agreement = float("nan")
+    if status == "converged" and linear.converged:
+        eta_lin = np.exp(linear.xi)
+        agreement = float(np.max(np.abs(z - eta_lin)) / (1.0 + np.max(np.abs(eta_lin))))
+    return conemaps.ConeLimitResult(z, iterations, residual, status, agreement)
+
+
+def miss_the_certificate(monkeypatch):
+    monkeypatch.setattr(conemaps.ConeMap, "monomial_apply", lambda self, y: 2.0 * y)
+
+
+FALLBACKS = {
+    # the linear route stops at max_iter
+    "max-iter": ("example7", [2.0, 1.0], 2, 3, None),
+    # the monomial pass misses eta
+    "certificate": ("example2", [1.0, 2, 1, 2, 3, 1], 4, numeric.MAX_ITER,
+                    miss_the_certificate),
+    # log(y) at log(TINY): the route that would take 1e-300 stands down
+    "log-tiny": ("example2", [conemaps.TINY, 2, 1, 2, 3, 1], 4, numeric.MAX_ITER, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACKS))
+def test_cone_limit_falls_back_to_the_iteration(name, monkeypatch):
+    example, y, q, max_iter, patch = FALLBACKS[name]
+    coll = ENTRIES[example].collection
+    w = words.Word.from_names("AB", coll)
+    y = np.array(y)
+    expected = iterated_cone_limit(coll, w, y, q, max_iter)
+    if patch is not None:
+        patch(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # example7 is not commuting
+        got = conemaps.cone_limit(coll, w, y, q, max_iter=max_iter)
+    assert bits_equal(got.eta, expected.eta)
+    assert (got.iterations, got.status) == (expected.iterations, expected.status)
+    assert got.residual == expected.residual
+    assert got.path_agreement == expected.path_agreement or (
+        np.isnan(got.path_agreement) and np.isnan(expected.path_agreement))
+    assert got.status == ("max_iter" if name == "max-iter" else "converged")
+
+
+def test_cone_limit_past_bound_diverges():
+    coll = MatrixCollection(names=("A",), matrices=(np.full((2, 2), 0.5),))
+    result = conemaps.cone_limit(coll, words.Word((0,)), np.array([1e13, 2e13]), 1)
+    assert result.status == "diverged"
 
 
 def test_cone_point_period_none_when_not_periodic():

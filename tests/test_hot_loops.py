@@ -12,15 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_commuting_collection, random_covering_word
+from helpers import bits_equal, random_commuting_collection, random_covering_word
 from matword import conemaps, infinite, numeric, words
 from matword.collection import MatrixCollection
 from matword.exceptions import BudgetExhausted, DimensionMismatch
-
-
-def bits_equal(a, b):
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +139,57 @@ def test_mat_vec_batch_rejects_mismatched_shapes():
         numeric.mat_vec_batch(np.ones((3, 2, 2)), np.ones((2, 2)))
     with pytest.raises(DimensionMismatch):
         numeric.mat_vec_batch(np.ones((3, 2, 2)), np.ones((3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the q2 prefix chain
+
+
+def prefix_chain_cases(seed):
+    """(matrices, tau) on a seeded commuting family and on dense random
+    matrices, each with a periodic and a seeded tau."""
+    rng = np.random.default_rng(seed)
+    commuting = random_commuting_collection(rng, max_n=6)
+    n = int(rng.integers(1, 7))
+    dense = tuple(rng.normal(size=(n, n)) * rng.choice([1e-3, 1.0, 1e5]) for _ in range(3))
+    for matrices in (commuting.matrices, dense):
+        N = len(matrices)
+        cycle = random_covering_word(rng, N, 5).letters
+        for tau in (infinite.InfiniteWord.periodic(cycle, N=N),
+                    infinite.InfiniteWord.from_seed(int(rng.integers(0, 1000)), N)):
+            yield MatrixCollection(names=tuple("ABC"[:N]), matrices=matrices), tau
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_left_products_bit_equal_to_mat_mul_chain(seed):
+    for coll, tau in prefix_chain_cases(seed):
+        M0 = words.word_product(coll, tau.prefix(tau.m))
+        for count in (0, 1, 300):
+            letters = tau.letters(tau.m, count).tolist()
+            out = np.empty((count, coll.n, coll.n))
+            last = numeric.left_products(coll.matrices, letters, M0, out)
+            M, expected = M0, []
+            for letter in letters:
+                M = numeric.mat_mul(coll.matrices[letter], M)
+                expected.append(M)
+            assert bits_equal(last, M)
+            assert bits_equal(out, np.reshape(expected, out.shape))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_prefix_tuples_bit_equal_to_per_prefix_rows(seed):
+    # budgets around one and two CHUNKs carry the chain across chunks
+    rng = np.random.default_rng(seed)
+    for coll, tau in prefix_chain_cases(seed):
+        xi, q, m = rng.normal(size=coll.n), int(rng.integers(1, 5)), tau.m
+        M = words.word_product(coll, tau.prefix(m))
+        rows = [infinite._orbit_rows(M, xi, q)]
+        for letter in tau.letters(m, 2 * infinite.CHUNK + 1).tolist():
+            M = numeric.mat_mul(coll.matrices[letter], M)
+            rows.append(infinite._orbit_rows(M, xi, q))
+        for budget in (1, infinite.CHUNK, infinite.CHUNK + 1, 2 * infinite.CHUNK + 2):
+            got = infinite._prefix_tuples(coll, tau, m, xi, q, budget)
+            assert bits_equal(got, np.array(rows[:budget]))
 
 
 # ---------------------------------------------------------------------------

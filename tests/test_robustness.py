@@ -36,15 +36,20 @@ OVERFLOW_DOCUMENTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(OVERFLOW_DOCUMENTS))
-def test_overflowing_product_exits_2(name):
+def run_cli(command, document):
+    """The CLI in a fresh process, reading ``document`` from stdin."""
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     # the kill timeout only stops a hang; the run itself takes well under 1 s
-    proc = subprocess.run([sys.executable, "-m", "matword.cli", "validate", "-"],
-                          input=json.dumps(OVERFLOW_DOCUMENTS[name]),
+    return subprocess.run([sys.executable, "-m", "matword.cli", *command],
+                          input=json.dumps(document),
                           capture_output=True, text=True, env=env, timeout=10)
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_DOCUMENTS))
+def test_overflowing_product_exits_2(name):
+    proc = run_cli(["validate", "-"], OVERFLOW_DOCUMENTS[name])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("input error:")
     assert "two-letter word" in proc.stderr
@@ -59,16 +64,21 @@ SCALE_OVERFLOW_DOCUMENT = {"dimension": 2, "matrices": {
 
 @pytest.mark.parametrize("command", [["classify", "-", "--force"], ["validate", "-"]])
 def test_overflowing_commutator_scale_exits_2(command):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-    proc = subprocess.run([sys.executable, "-m", "matword.cli", *command],
-                          input=json.dumps(SCALE_OVERFLOW_DOCUMENT),
-                          capture_output=True, text=True, env=env, timeout=10)
+    proc = run_cli(command, SCALE_OVERFLOW_DOCUMENT)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("input error: the commutator scale")
     assert "Traceback" not in proc.stderr
+
+
+def test_eigenpair_residuals_near_1e300_print_nothing():
+    # a 2-norm by the sum of squares overflows here, and numpy warned on stderr
+    document = {"dimension": 2, "matrices": {"A": [["1e300", "1e300"],
+                                                   ["1e300", "1e300"]]}}
+    proc = run_cli(["eigensystem", "-", "--force", "--format", "machine"], document)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["queries"][0]["d"] == 2
 
 
 def _finite_only(name, fn):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,68 @@ def test_limit_point_divergence_detected():
     result = words.limit_point(coll, words.Word.from_names("BA", coll), v, q=1,
                                bound=1e9)
     assert result.status == "diverged"
+
+
+# ---------------------------------------------------------------------------
+# limits by repeated squaring
+
+
+def single(M):
+    return MatrixCollection(names=("A",), matrices=(np.asarray(M, dtype=float),))
+
+
+def stepped(M, x, max_iter=numeric.MAX_ITER):
+    """The q-block stepping that the doubling loop replaces (q = 1)."""
+    return words.iterate_to_fixed_point(lambda z: numeric.mat_vec(M, z), x,
+                                        numeric.CONVERGENCE_TOL, max_iter,
+                                        numeric.BOUND)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 5])
+@pytest.mark.parametrize("top", [1.0, 1e200])
+def test_doubling_never_passes_max_iter(max_iter, top):
+    # top = 1e200 overflows the first square, so the stepping takes over
+    coll = single(np.diag([top, 0.999]))
+    result = words.limit_point(coll, words.Word((0,)), np.array([0.0, 1.0]), 1,
+                               max_iter=max_iter)
+    assert result.status == "max_iter" and result.iterations <= max_iter
+    if top == 1.0:  # the last doubling that fits
+        assert result.iterations == 2 ** (max_iter.bit_length() - 1)
+
+
+def test_doubling_keeps_a_growing_direction_at_zero():
+    B = np.diag([2.0, 0.5])
+    x = np.array([0.0, 1.0])
+    result = words.limit_point(single(B), words.Word((0,)), x, 1)
+    z, _, _, status = stepped(B, x)
+    assert result.converged and status == "converged"
+    assert result.xi[0] == 0.0 and abs(result.xi[1]) <= numeric.CONVERGENCE_TOL
+    assert z[0] == 0.0 and abs(z[1]) <= numeric.CONVERGENCE_TOL
+
+
+def test_doubling_hands_over_when_the_square_overflows():
+    B = np.diag([1e200, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = words.limit_point(single(B), words.Word((0,)), np.array([0.0, 1.0]), 1)
+        # one block, then the stepping from B x with the blocks left
+        z, steps, residual, status = stepped(B, np.array([0.0, 0.5]),
+                                             numeric.MAX_ITER - 1)
+        grown = words.limit_point(single([[2.0]]), words.Word((0,)), np.array([1.0]),
+                                  1, bound=np.inf)
+    assert result.converged and status == "converged"
+    assert result.iterations == 1 + steps and result.residual == residual
+    assert np.array_equal(result.xi, z) and np.max(np.abs(z)) <= numeric.CONVERGENCE_TOL
+    assert grown.status == "diverged"
+
+
+def test_doubling_does_not_hide_an_eigenvalue_minus_one():
+    # B^2 = I fixes every z_k with k >= 1; one more block shows the swap
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    x = np.array([0.0, 1.0])
+    result = words.limit_point(single(swap), words.Word((0,)), x, 1, max_iter=64)
+    assert result.status == "max_iter" and result.iterations == 64
+    assert stepped(swap, x, 64)[3] == "max_iter"
 
 
 def test_limit_fixedness_invariant():
