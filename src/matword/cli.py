@@ -247,7 +247,7 @@ def _add_common_flags(parser):
                              f"(default {numeric.CLUSTER_TOL:g})")
     parser.add_argument("--max-iter", type=int, default=None, dest="max_iter",
                         help="cap on the q-blocks a limit may cover: doubling stops "
-                             "before it would pass the cap, stepping at it "
+                             "before it would reach the cap, stepping covers the rest "
                              f"(default {numeric.MAX_ITER})")
     parser.add_argument("--bound", type=float, default=None,
                         help="divergence threshold on the orbit norm "

@@ -191,8 +191,10 @@ def cone_limit(collection, word, y, q, tol=numeric.CONVERGENCE_TOL,
     xi stay above log(TINY) (no coordinate is flushed), |eta| <= bound,
     and one pass of f_w^q in the monomial product form (no logs) lands
     within ``tol * (1 + |eta|)`` of eta.  Then ``residual`` is that
-    distance, ``path_agreement`` is residual / (1 + |eta|) (log route
-    against monomial route) and ``iterations`` is xi's q-block count.
+    distance, ``path_agreement`` is residual / (1 + |eta|) and
+    ``iterations`` is xi's q-block count.  On this route
+    ``path_agreement`` is a fixed-point certificate (at most ``tol`` by
+    construction), not a comparison of two independent limits.
 
     Otherwise f_w is iterated in q-blocks from y under the rule of
     :func:`~matword.words.iterate_to_fixed_point`, and ``path_agreement``

@@ -262,10 +262,9 @@ def _prefix_tuples(collection, tau, m, xi, q, budget):
     """Orbit tuples of xi under the prefix products A_{tau^[p]},
     p = m .. m + budget - 1, as a (budget, q, n) array.
 
-    The products come from the sequential chain M_p = A_{tau_p} M_{p-1}
-    (:func:`~matword.numeric.left_products`); each CHUNK of them forms its
-    tuple rows with q - 1 batched products, which equal the per-prefix
-    :func:`_orbit_rows` bit for bit.
+    The products come from the sequential chain M_p = A_{tau_p} M_{p-1};
+    each CHUNK of them forms its tuple rows with q - 1 batched products,
+    which equal the per-prefix :func:`_orbit_rows` bit for bit.
     """
     n = xi.shape[0]
     tuples = np.empty((budget, q, n))
@@ -275,12 +274,10 @@ def _prefix_tuples(collection, tau, m, xi, q, budget):
     Ms = np.empty((min(CHUNK, budget), n, n))
     for start in range(0, budget, CHUNK):
         stop = min(start + CHUNK, budget)
-        head = int(start == 0)
-        if head:
-            Ms[0] = M_p  # the first chunk opens with prefix m itself
-        M_p = numeric.left_products(collection.matrices,
-                                    letters[start + head - 1:stop - 1], M_p,
-                                    Ms[head:stop - start])
+        for i in range(start, stop):
+            if i > 0:
+                M_p = numeric.mat_mul(collection.matrices[letters[i - 1]], M_p)
+            Ms[i - start] = M_p
         for k in range(1, q):
             tuples[start:stop, k] = numeric.mat_vec_batch(
                 Ms[:stop - start], tuples[start:stop, k - 1])

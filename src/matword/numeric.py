@@ -140,18 +140,6 @@ def mat_vec_batch(Ms, X):
     return np.einsum("pij,pj->pi", Ms, X, optimize=False)
 
 
-def left_products(matrices, letters, M, out):
-    """``out[i] = matrices[letters[i]] @ out[i - 1]``, with ``out[-1]``
-    read as M; returns the last product (M when ``letters`` is empty).
-
-    Bit for bit the chain of :func:`mat_mul` calls: the same einsum runs
-    into ``out`` without the wrapper's checks on each step.
-    """
-    for i, letter in enumerate(letters):
-        M = np.einsum("ij,jk->ik", matrices[letter], M, optimize=False, out=out[i])
-    return M
-
-
 def mat_power(A, k):
     """k-th power by repeated :func:`mat_mul` (k is desk-scale here)."""
     A = require_square(np.asarray(A))

@@ -190,11 +190,12 @@ def limit_point(collection, word, x, q, tol=numeric.CONVERGENCE_TOL,
     doubling that only hides a negative or 2^j-th root eigenvalue).
     ``iterations`` counts q-blocks, 2^k; a fixed point reports 1, and the
     residual is the step across the last doubling.  |z_k| past ``bound``
-    (or not finite) is divergence.  The loop stops with max_iter before a
-    doubling would pass ``max_iter`` blocks.  If B^(2^k) overflows while
-    z_k is bounded, :func:`iterate_to_fixed_point` steps on from z_k with
-    the blocks left.  Every outcome is a status, never an exception;
-    only ``q`` or ``max_iter`` below one raises.
+    (or not finite) is divergence.  Doubling stops before it would reach
+    ``max_iter`` blocks, or when B^(2^k) overflows while z_k is bounded;
+    then :func:`iterate_to_fixed_point` steps on from z_k one block at a
+    time with the blocks left, so every orbit that stepping settles within
+    ``max_iter`` blocks still converges.  Every outcome is a status, never
+    an exception; only ``q`` or ``max_iter`` below one raises.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
@@ -217,14 +218,16 @@ def limit_point(collection, word, x, q, tol=numeric.CONVERGENCE_TOL,
                     <= tol * (1.0 + float(size_next))):
                 return LimitResult(z_next, blocks, residual, "converged")
             z, size = z_next, size_next
-            if 2 * blocks > max_iter:
+            if 2 * blocks < max_iter:
+                power = numeric.mat_mul(power, power)
+                if np.isfinite(power).all():
+                    blocks *= 2
+                    continue
+            if blocks == max_iter:
                 return LimitResult(z, blocks, residual, "max_iter")
-            power = numeric.mat_mul(power, power)
-            if not np.isfinite(power).all():
-                z, steps, residual, status = iterate_to_fixed_point(
-                    lambda v: numeric.mat_vec(B, v), z, tol, max_iter - blocks, bound)
-                return LimitResult(z, blocks + steps, residual, status)
-            blocks *= 2
+            z, steps, residual, status = iterate_to_fixed_point(
+                lambda v: numeric.mat_vec(B, v), z, tol, max_iter - blocks, bound)
+            return LimitResult(z, blocks + steps, residual, status)
 
 
 def spectral_limit(system, coeffs):

@@ -160,22 +160,6 @@ def prefix_chain_cases(seed):
             yield MatrixCollection(names=tuple("ABC"[:N]), matrices=matrices), tau
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_left_products_bit_equal_to_mat_mul_chain(seed):
-    for coll, tau in prefix_chain_cases(seed):
-        M0 = words.word_product(coll, tau.prefix(tau.m))
-        for count in (0, 1, 300):
-            letters = tau.letters(tau.m, count).tolist()
-            out = np.empty((count, coll.n, coll.n))
-            last = numeric.left_products(coll.matrices, letters, M0, out)
-            M, expected = M0, []
-            for letter in letters:
-                M = numeric.mat_mul(coll.matrices[letter], M)
-                expected.append(M)
-            assert bits_equal(last, M)
-            assert bits_equal(out, np.reshape(expected, out.shape))
-
-
 @pytest.mark.parametrize("seed", range(2))
 def test_prefix_tuples_bit_equal_to_per_prefix_rows(seed):
     # budgets around one and two CHUNKs carry the chain across chunks

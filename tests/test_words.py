@@ -143,16 +143,27 @@ def stepped(M, x, max_iter=numeric.MAX_ITER):
                                         numeric.BOUND)
 
 
-@pytest.mark.parametrize("max_iter", [1, 2, 3, 5])
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("top", [1.0, 1e200])
 def test_doubling_never_passes_max_iter(max_iter, top):
-    # top = 1e200 overflows the first square, so the stepping takes over
+    # top = 1e200 overflows the first square; with top = 1 the stepping
+    # takes over before a doubling would reach the cap
     coll = single(np.diag([top, 0.999]))
     result = words.limit_point(coll, words.Word((0,)), np.array([0.0, 1.0]), 1,
                                max_iter=max_iter)
-    assert result.status == "max_iter" and result.iterations <= max_iter
-    if top == 1.0:  # the last doubling that fits
-        assert result.iterations == 2 ** (max_iter.bit_length() - 1)
+    assert result.status == "max_iter" and result.iterations == max_iter
+
+
+def test_slow_mixing_converges_under_the_default_cap():
+    # 1 - lambda = 3e-4: stepping settles after ~50,000 blocks, past the
+    # last doubling (65,536 blocks) that fits under MAX_ITER = 100,000
+    B = np.array([[1.0 - 3e-4]])
+    x = np.array([1.0])
+    result = words.limit_point(single(B), words.Word((0,)), x, 1)
+    z, steps, _, status = stepped(B, x)
+    assert status == "converged" and steps < 2 ** 16
+    assert result.converged and result.iterations == 2 ** 16 + 1
+    assert 0.0 < result.xi[0] <= z[0]  # no farther from the limit 0
 
 
 def test_doubling_keeps_a_growing_direction_at_zero():
