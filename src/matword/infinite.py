@@ -26,10 +26,6 @@ MAX_BUDGET = 100_000
 #: scan cap while locating the first-coverage time m of a seeded stream
 COVERAGE_SCAN_CAP = 100_000
 
-#: prefixes per batch of orbit-tuple rows: bounds the working memory
-#: beyond the tuple array
-CHUNK = 256
-
 
 class _SeededStream:
     """Deterministic pseudo-random letter source, grown lazily."""
@@ -258,30 +254,42 @@ class Q2Certificate:
         return bool(np.all(weighted == weighted[0]))
 
 
-def _prefix_tuples(collection, tau, m, xi, q, budget):
-    """Orbit tuples of xi under the prefix products A_{tau^[p]},
-    p = m .. m + budget - 1, as a (budget, q, n) array.
+def _check_fixed_by_letters(collection, xi, q, tol_scale):
+    """Raise HypothesesNotMet unless |A_r^q xi - xi| <= tol_scale for every
+    letter r (sup norm, NaN included)."""
+    for name, A in zip(collection.names, collection.matrices):
+        z = xi
+        for _ in range(q):
+            z = numeric.mat_vec(A, z)
+        gap = float(np.max(np.abs(z - xi)))
+        if not gap <= tol_scale:
+            raise HypothesesNotMet(
+                f"matrix {name} does not fix the limit point: "
+                f"|{name}^{q} xi - xi| = {gap:.3g} exceeds {tol_scale:.3g}"
+            )
 
-    The products come from the sequential chain M_p = A_{tau_p} M_{p-1};
-    each CHUNK of them forms its tuple rows with q - 1 batched products,
-    which equal the per-prefix :func:`_orbit_rows` bit for bit.
+
+def _class_tuples(collection, xi, q, residues):
+    """Orbit tuples of xi under M_e = prod_r A_r^{e_r}, one for each residue
+    vector e in ``residues``, as a (len(residues), q, n) array.
+
+    M_e is assembled from the powers A_r^k, k < q, tabulated once per
+    letter; the tuple is :func:`_orbit_rows` of M_e.
     """
     n = xi.shape[0]
-    tuples = np.empty((budget, q, n))
-    tuples[:, 0] = xi
-    letters = tau.letters(m, budget - 1).tolist()
-    M_p = words.word_product(collection, tau.prefix(m))
-    Ms = np.empty((min(CHUNK, budget), n, n))
-    for start in range(0, budget, CHUNK):
-        stop = min(start + CHUNK, budget)
-        for i in range(start, stop):
-            if i > 0:
-                M_p = numeric.mat_mul(collection.matrices[letters[i - 1]], M_p)
-            Ms[i - start] = M_p
-        for k in range(1, q):
-            tuples[start:stop, k] = numeric.mat_vec_batch(
-                Ms[:stop - start], tuples[start:stop, k - 1])
-    return tuples
+    powers = []
+    for A in collection.matrices:
+        table = [np.eye(n), A]
+        for _ in range(2, q):
+            table.append(numeric.mat_mul(A, table[-1]))
+        powers.append(table)
+    tuples = []
+    for e in residues:
+        M = powers[0][e[0]]
+        for table, k in zip(powers[1:], e[1:]):
+            M = numeric.mat_mul(table[k], M)
+        tuples.append(_orbit_rows(M, xi, q))
+    return np.array(tuples)
 
 
 def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL,
@@ -297,11 +305,16 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
     Integer keys decide and floats check: the orbit tuple at prefix p
     depends only on the key sum_r lambdas[r, j] * Phi_r(p) mod q, so the
     chosen prefixes are the largest group of equal keys, ties going to the
-    earliest first prefix.  Each chosen float tuple must lie within
-    tol * (1 + |xi|) of the first, or HypothesesNotMet is raised.
+    earliest first prefix.
 
-    Memory is O(p * q * n) for the tuples up to the last chosen prefix p,
-    plus one CHUNK of prefix products and of the check.
+    Floats check one tuple per residue class.  Every letter must fix xi
+    under its q-th power, |A_r^q xi - xi| <= tol * (1 + |xi|); then, the
+    family commuting, the tuple at prefix p depends only on the residue
+    vector Phi(p) mod q.  The chosen prefixes are grouped by that vector,
+    and each class tuple, formed from powers A_r^k with k < q, must lie
+    within tol * (1 + |xi|) of the first chosen prefix's.  A miss of
+    either check raises HypothesesNotMet.  The work is O(N * q + classes * N)
+    matrix products whatever the budget.
     """
     _check_q2_hypotheses(collection, tol=tol * numeric.SLACK)
     system = structure.common_eigenvectors(collection)
@@ -357,16 +370,18 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
         )
     p_gammas = tuple(m + i for i in best)
 
-    tuples = _prefix_tuples(collection, tau, m, xi, q, best[-1] + 1)
-    for start in range(0, len(best), CHUNK):
-        rows = best[start:start + CHUNK]
-        gaps = np.abs(tuples[rows] - tuples[best[0]]).max(axis=(1, 2))
-        for i, gap in zip(rows, gaps.tolist()):
-            if not gap <= tol_scale:  # NaN included
-                raise HypothesesNotMet(
-                    f"orbit tuples at prefixes {m + best[0]} and {m + i} "
-                    f"differ by {gap:.3g} although their letter-count keys agree"
-                )
+    _check_fixed_by_letters(collection, xi, q, tol_scale)
+    classes = {}  # residue vector -> its first chosen prefix
+    for p, e in zip(p_gammas, map(tuple, (table[list(p_gammas)] % q).tolist())):
+        classes.setdefault(e, p)
+    tuples = _class_tuples(collection, xi, q, list(classes))
+    gaps = np.abs(tuples - tuples[0]).max(axis=(1, 2))
+    for p, gap in zip(classes.values(), gaps.tolist()):
+        if not gap <= tol_scale:  # NaN included
+            raise HypothesesNotMet(
+                f"orbit tuples at prefixes {p_gammas[0]} and {p} "
+                f"differ by {gap:.3g} although their letter-count keys agree"
+            )
 
     deltas = table[list(p_gammas[1:])] - table[p_gammas[0]]
     residues = (deltas @ lambdas) % q

@@ -130,16 +130,6 @@ def mat_vec(A, x):
     return mat_mul(A, np.asarray(x))
 
 
-def mat_vec_batch(Ms, X):
-    """Row p is ``mat_vec(Ms[p], X[p])``, bit for bit: the batched einsum
-    runs the same ascending inner loop over C-contiguous operands."""
-    Ms = np.ascontiguousarray(Ms)
-    X = np.ascontiguousarray(X)
-    if Ms.ndim != 3 or X.ndim != 2 or (Ms.shape[0], Ms.shape[2]) != X.shape:
-        raise DimensionMismatch(f"cannot batch shapes {Ms.shape} and {X.shape}")
-    return np.einsum("pij,pj->pi", Ms, X, optimize=False)
-
-
 def mat_power(A, k):
     """k-th power by repeated :func:`mat_mul` (k is desk-scale here)."""
     A = require_square(np.asarray(A))

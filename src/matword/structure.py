@@ -357,8 +357,8 @@ def lc_membership(x, system, tol=None):
     x = numeric.require_finite(np.asarray(x, dtype=np.float64), what="vector")
     V = numeric.require_finite(system.basis_matrix())
     alphas, *_ = np.linalg.lstsq(V, x.astype(np.complex128), rcond=None)
-    residual = float(np.linalg.norm(V @ alphas - x))
-    atol = tol * (1.0 + float(np.linalg.norm(x)))
+    residual = numeric.vector_norm(V @ alphas - x)
+    atol = tol * (1.0 + numeric.vector_norm(x))
     if residual > atol:
         return None
     paired = system.paired_indices

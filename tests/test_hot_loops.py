@@ -1,10 +1,11 @@
 """Oracles for the hot loops: every fast kernel against the plain loop it
-replaces, compared bit for bit.
+replaces, compared bit for bit where the two compute the same floats.
 
-The oracles are the straightforward per-element forms: the greedy tuple
-grouping (against q2's integer keys), per-letter count tables, per-row
-products, one letter map at a time, and the fixed-point loop written with
-the numpy reductions.
+The oracles are the straightforward per-element forms: the sequential
+prefix chain M_p = A_{tau_p} M_{p-1} with the greedy tuple grouping
+(against q2's integer keys and, within the tuple tolerance, its residue
+class tuples), per-letter count tables, one letter map at a time, and the
+fixed-point loop written with the numpy reductions.
 """
 
 import math
@@ -15,11 +16,22 @@ import pytest
 from helpers import bits_equal, random_commuting_collection, random_covering_word
 from matword import conemaps, infinite, numeric, words
 from matword.collection import MatrixCollection
-from matword.exceptions import BudgetExhausted, DimensionMismatch
+from matword.exceptions import BudgetExhausted
 
 
 # ---------------------------------------------------------------------------
-# q2 prefix grouping
+# q2 prefix grouping and class tuples
+
+
+def chain_tuples(coll, tau, m, xi, q, budget):
+    """Orbit tuples at prefixes p = m .. m + budget - 1 from the sequential
+    chain M_p = A_{tau_p} M_{p-1}, one prefix at a time."""
+    M = words.word_product(coll, tau.prefix(m))
+    tuples = [infinite._orbit_rows(M, xi, q)]
+    for letter in tau.letters(m, budget - 1).tolist():
+        M = numeric.mat_mul(coll.matrices[letter], M)
+        tuples.append(infinite._orbit_rows(M, xi, q))
+    return np.array(tuples)
 
 
 def greedy_groups(tuples, tol_scale):
@@ -63,7 +75,7 @@ def test_tuple_groups_match_greedy_oracle(seed):
         q, m = words.global_period(coll).q, tau.m
         xi = infinite.a_tilde(coll, tau.prefix(m), q, x).xi
         tol_scale = numeric.TUPLE_TOL * (1.0 + float(np.max(np.abs(xi))))
-        tuples = infinite._prefix_tuples(coll, tau, m, xi, q, budget)
+        tuples = chain_tuples(coll, tau, m, xi, q, budget)
         groups = greedy_groups(list(tuples), tol_scale)
         best = min(groups, key=lambda g: (-len(g), g[0]))
         if len(best) < 2:
@@ -75,6 +87,24 @@ def test_tuple_groups_match_greedy_oracle(seed):
         cert = infinite.q2_certificate(coll, tau, x, search_budget=budget)
         assert cert.p_gammas == tuple(m + i for i in best)
     assert ties and exhausted
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_class_tuples_match_the_prefix_chain(seed):
+    """Every prefix's chain tuple lies within the tuple tolerance of the
+    tuple of its residue class Phi(p) mod q."""
+    shared = 0
+    for coll, tau, x, budget in q2_cases(seed):
+        q, m = words.global_period(coll).q, tau.m
+        xi = infinite.a_tilde(coll, tau.prefix(m), q, x).xi
+        tol_scale = numeric.TUPLE_TOL * (1.0 + float(np.max(np.abs(xi))))
+        residues = infinite.phi_table(tau, m + budget - 1)[m:] % q
+        distinct, index = np.unique(residues, axis=0, return_inverse=True)
+        expected = infinite._class_tuples(coll, xi, q, distinct.tolist())
+        got = chain_tuples(coll, tau, m, xi, q, budget)
+        assert np.abs(got - expected[index.ravel()]).max() <= tol_scale
+        shared += len(distinct) < budget
+    assert shared  # some class holds several prefixes
 
 
 # ---------------------------------------------------------------------------
@@ -116,64 +146,6 @@ def test_letters_and_phi_table_match_per_letter_loop(name):
         assert table.dtype == np.int64
         assert np.array_equal(table, looped_phi_table(tau, p_max))
     assert tau.prefix(13).letters == tuple(tau.letter(i) for i in range(13))
-
-
-# ---------------------------------------------------------------------------
-# batched matrix-vector products
-
-
-@pytest.mark.parametrize("n", range(1, 17))
-def test_mat_vec_batch_bit_equal_to_mat_vec(n):
-    rng = np.random.default_rng(100 + n)
-    for count in (1, 2, 33):
-        Ms = rng.normal(size=(count, n, n)) * rng.choice([1e-3, 1.0, 1e5], size=(count, 1, 1))
-        stacked = rng.normal(size=(count, 4, n))
-        for X in (stacked[:, 0], stacked[:, 3], np.ascontiguousarray(stacked[:, 1])):
-            got = numeric.mat_vec_batch(Ms, X)
-            expected = np.array([numeric.mat_vec(Ms[p], X[p]) for p in range(count)])
-            assert bits_equal(got, expected)
-
-
-def test_mat_vec_batch_rejects_mismatched_shapes():
-    with pytest.raises(DimensionMismatch):
-        numeric.mat_vec_batch(np.ones((3, 2, 2)), np.ones((2, 2)))
-    with pytest.raises(DimensionMismatch):
-        numeric.mat_vec_batch(np.ones((3, 2, 2)), np.ones((3, 3)))
-
-
-# ---------------------------------------------------------------------------
-# the q2 prefix chain
-
-
-def prefix_chain_cases(seed):
-    """(matrices, tau) on a seeded commuting family and on dense random
-    matrices, each with a periodic and a seeded tau."""
-    rng = np.random.default_rng(seed)
-    commuting = random_commuting_collection(rng, max_n=6)
-    n = int(rng.integers(1, 7))
-    dense = tuple(rng.normal(size=(n, n)) * rng.choice([1e-3, 1.0, 1e5]) for _ in range(3))
-    for matrices in (commuting.matrices, dense):
-        N = len(matrices)
-        cycle = random_covering_word(rng, N, 5).letters
-        for tau in (infinite.InfiniteWord.periodic(cycle, N=N),
-                    infinite.InfiniteWord.from_seed(int(rng.integers(0, 1000)), N)):
-            yield MatrixCollection(names=tuple("ABC"[:N]), matrices=matrices), tau
-
-
-@pytest.mark.parametrize("seed", range(2))
-def test_prefix_tuples_bit_equal_to_per_prefix_rows(seed):
-    # budgets around one and two CHUNKs carry the chain across chunks
-    rng = np.random.default_rng(seed)
-    for coll, tau in prefix_chain_cases(seed):
-        xi, q, m = rng.normal(size=coll.n), int(rng.integers(1, 5)), tau.m
-        M = words.word_product(coll, tau.prefix(m))
-        rows = [infinite._orbit_rows(M, xi, q)]
-        for letter in tau.letters(m, 2 * infinite.CHUNK + 1).tolist():
-            M = numeric.mat_mul(coll.matrices[letter], M)
-            rows.append(infinite._orbit_rows(M, xi, q))
-        for budget in (1, infinite.CHUNK, infinite.CHUNK + 1, 2 * infinite.CHUNK + 2):
-            got = infinite._prefix_tuples(coll, tau, m, xi, q, budget)
-            assert bits_equal(got, np.array(rows[:budget]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from matword import cli, corpus, infinite, numeric, structure, words
+from matword import cli, corpus, infinite, numeric, reporting, structure, words
 from matword.collection import MatrixCollection
 from matword.exceptions import BudgetExhausted, HypothesesNotMet, InvalidLetter
 
@@ -168,21 +169,24 @@ def test_q2_certificate_budget_exhausted():
 
 @pytest.mark.parametrize("shift", [2.0, np.nan], ids=["twice-the-scale", "nan"])
 def test_q2_cross_check_rejects_a_moved_tuple(monkeypatch, tmp_path, shift):
-    """Equal keys whose float tuples differ by more than the tolerance, or
-    by NaN, raise HypothesesNotMet, which the CLI reports with exit 4."""
+    """Equal keys whose float class tuples differ by more than the
+    tolerance, or by NaN, raise HypothesesNotMet, which the CLI reports
+    with exit 4."""
     coll = ENTRIES["example2"].collection
     tau = infinite.InfiniteWord.periodic((0, 1), N=2)
     x = np.array([2.0, 0.0, 2.0, 0.0, 0.0, 0.0])
     cert = infinite.q2_certificate(coll, tau, x)
-    moved = cert.p_gammas[1] - cert.m
-    prefix_tuples = infinite._prefix_tuples
+    residues = infinite.phi_table(tau, max(cert.p_gammas))[list(cert.p_gammas)] % cert.q
+    # the second residue class starts at the second chosen prefix
+    assert not np.array_equal(residues[0], residues[1])
+    class_tuples = infinite._class_tuples
 
-    def moved_tuples(collection, tau, m, xi, q, budget):
-        tuples = prefix_tuples(collection, tau, m, xi, q, budget)
-        tuples[moved, 1, 0] += shift * numeric.TUPLE_TOL * (1.0 + np.max(np.abs(xi)))
+    def moved_tuples(collection, xi, q, classes):
+        tuples = class_tuples(collection, xi, q, classes)
+        tuples[1, 1, 0] += shift * numeric.TUPLE_TOL * (1.0 + np.max(np.abs(xi)))
         return tuples
 
-    monkeypatch.setattr(infinite, "_prefix_tuples", moved_tuples)
+    monkeypatch.setattr(infinite, "_class_tuples", moved_tuples)
     named = f"prefixes {cert.p_gammas[0]} and {cert.p_gammas[1]} differ"
     with pytest.raises(HypothesesNotMet, match=named):
         infinite.q2_certificate(coll, tau, x)
@@ -196,6 +200,57 @@ def test_q2_cross_check_rejects_a_moved_tuple(monkeypatch, tmp_path, shift):
     assert code == 4
     error = json.loads(out.getvalue())["queries"][0]["error"]
     assert error.startswith("HypothesesNotMet: orbit tuples at " + named)
+
+
+#: (move of xi, the letter named): (1, -1) in the last block decays
+#: under A^4; (1, 0, -1, 0) in the cycle block is fixed by A^4 but sent to
+#: zero by B; a NaN entry fails the first letter
+LETTER_MOVES = {
+    "A": ([0, 0, 0, 0, 0.5, -0.5], "A"),
+    "B": ([0.5, 0, -0.5, 0, 0, 0], "B"),
+    "nan": ([np.nan, 0, 0, 0, 0, 0], "A"),
+}
+
+
+@pytest.mark.parametrize("move", sorted(LETTER_MOVES))
+def test_q2_rejects_a_limit_point_a_letter_moves(monkeypatch, move):
+    """xi moved off the fixed space of A_r^q fails the explicit check
+    A_r^q xi = xi, which names the first letter that moves it."""
+    coll = ENTRIES["example2"].collection
+    tau = infinite.InfiniteWord.periodic((0, 1), N=2)
+    x = np.array([2.0, 0.0, 2.0, 0.0, 0.0, 0.0])
+    shift, letter = LETTER_MOVES[move]
+    a_tilde = infinite.a_tilde
+
+    def moved_limit(collection, word, q, x, **kwargs):
+        xi = a_tilde(collection, word, q, x, **kwargs).xi + shift
+        return infinite.OrbitTuple(components=np.array([xi]), q=q)
+
+    monkeypatch.setattr(infinite, "a_tilde", moved_limit)
+    with pytest.raises(HypothesesNotMet,
+                       match=f"matrix {letter} does not fix the limit point"):
+        infinite.q2_certificate(coll, tau, x)
+
+
+def test_q2_work_does_not_grow_with_the_budget(monkeypatch):
+    """The default-budget q2 on the slow-mixing golden family (7,777
+    prefixes) takes a few hundred matrix products at most; a chain over
+    every prefix took ~7,900."""
+    coll, _ = reporting.load_collection(
+        pathlib.Path(__file__).parent / "golden" / "slow-mixing.json")
+    tau = infinite.InfiniteWord.from_names("AAB", coll)
+    x = numeric.parse_vector("2,-1,1,0.5,-0.5,1,3,-2,1")
+    calls = [0]
+    mat_mul = numeric.mat_mul
+
+    def counted(A, B):
+        calls[0] += 1
+        return mat_mul(A, B)
+
+    monkeypatch.setattr(numeric, "mat_mul", counted)
+    cert = infinite.q2_certificate(coll, tau, x)
+    assert len(cert.p_gammas) == 1729 and cert.p_gammas[-1] == 7779
+    assert calls[0] < 500
 
 
 def test_q2_certificate_rejects_noncommuting():

@@ -81,6 +81,18 @@ def test_eigenpair_residuals_near_1e300_print_nothing():
     assert json.loads(proc.stdout)["queries"][0]["d"] == 2
 
 
+def test_lc_membership_near_1e300_prints_nothing():
+    # the LC residual and |x| by the sum of squares overflowed, and numpy
+    # warned twice on stderr
+    document = {"dimension": 2, "matrices": {"A": [[0, 1], [1, 0]],
+                                             "B": [[1, 0], [0, 1]]}}
+    proc = run_cli(["q2", "-", "--tau", "periodic:AB", "--x", "1e300,1e300",
+                    "--format", "machine"], document)
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.returncode == 4, proc.stderr
+
+
 def _finite_only(name, fn):
     def wrapper(*args, **kwargs):
         for arg in args[:2]:  # svd(a), eigvals(a), lstsq(a, b)
