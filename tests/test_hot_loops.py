@@ -4,7 +4,8 @@ replaces, compared bit for bit where the two compute the same floats.
 The oracles are the straightforward per-element forms: the sequential
 prefix chain M_p = A_{tau_p} M_{p-1} with the greedy tuple grouping
 (against q2's integer keys and, within the tuple tolerance, its residue
-class tuples), per-letter count tables, one letter map at a time, and the
+class tuples), the class tuples' products looped one at a time,
+per-letter count tables, one letter map at a time, and the
 fixed-point loop written with the numpy reductions.
 """
 
@@ -105,6 +106,41 @@ def test_class_tuples_match_the_prefix_chain(seed):
         assert np.abs(got - expected[index.ravel()]).max() <= tol_scale
         shared += len(distinct) < budget
     assert shared  # some class holds several prefixes
+
+
+def looped_class_tuple(matrices, xi, q, e):
+    """Orbit rows of xi under M_e = A_{N-1}^{e_{N-1}} ... A_0^{e_0}, one
+    product at a time: A^k = A A^{k-1}, each letter's power multiplied on
+    from the left, each row one mat_vec."""
+    M = None
+    for A, k in zip(matrices, e):
+        P = np.eye(len(xi)) if k == 0 else A
+        for _ in range(k - 1):
+            P = numeric.mat_mul(A, P)
+        M = P if M is None else numeric.mat_mul(P, M)
+    rows = [xi]
+    for _ in range(q - 1):
+        rows.append(numeric.mat_vec(M, rows[-1]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_mat_vec_batch_bit_equal_to_mat_vec(n):
+    """q2's batch of matrix-vector products, once ``mat_vec_batch`` over
+    the prefix chain, is now ``_class_tuples``: one orbit tuple per residue
+    class, from power tables.  Each tuple equals the looped products bit
+    for bit, at dimensions 1..16, one to 33 classes and any matrices."""
+    rng = np.random.default_rng(100 + n)
+    for count in (1, 2, 33):
+        N, q = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        matrices = tuple(rng.normal(size=(n, n)) * rng.choice([1e-3, 1.0, 1e5])
+                         for _ in range(N))
+        coll = MatrixCollection(names=tuple("ABC"[:N]), matrices=matrices)
+        xi = rng.normal(size=n)
+        residues = rng.integers(0, q, size=(count, N)).tolist()
+        got = infinite._class_tuples(coll, xi, q, residues)
+        expected = np.array([looped_class_tuple(matrices, xi, q, e) for e in residues])
+        assert bits_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------
