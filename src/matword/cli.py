@@ -66,21 +66,18 @@ def _vector_arg(text, n, what):
 
 class _QueryContext:
     """Shared analysis state for one input document: the validation
-    ``main`` already ran, and the lazily computed common eigensystem."""
+    ``main`` already ran, and the collection, which computes its common
+    eigensystem and periods once."""
 
     def __init__(self, collection, settings, validation):
         self.collection = collection
         self.settings = settings
         self.validation = validation
-        self._system = None
 
     @property
     def system(self):
-        if self._system is None:
-            self._system = structure.common_eigenvectors(
-                self.collection, tol=self.settings.modulus_tol
-            )
-        return self._system
+        return structure.common_eigenvectors(self.collection,
+                                             tol=self.settings.modulus_tol)
 
     def word_period(self, word):
         return words.word_period(self.collection, word,
@@ -185,6 +182,7 @@ def query_q2(ctx, args):
         ctx.collection, tau, x,
         search_budget=args.budget,
         tol=ctx.settings.modulus_tol, limit_tol=ctx.settings.tol,
+        rho_tol=ctx.settings.rho_tol,
     )
     fragment = {
         "query": "q2",

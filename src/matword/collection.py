@@ -1,10 +1,10 @@
 """A named, dimension-checked family of nonnegative square matrices."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numeric
+from . import numeric, spectral
 from .exceptions import DimensionMismatch, InvalidLetter, ParseError
 
 
@@ -13,11 +13,15 @@ class MatrixCollection:
     """The finite family {A_1, ..., A_N} every analysis runs over.
 
     Names double as word letters on the command line, so each must be a
-    single character.  Matrices are stored read-only.
+    single character.  Matrices are stored read-only, so the spectral
+    results derived from them (each letter's eigendecomposition, the
+    common eigensystem, periods) are computed once per collection and
+    shared; those results hold read-only arrays.
     """
 
     names: tuple
     matrices: tuple
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.names) == 0:
@@ -62,6 +66,23 @@ class MatrixCollection:
     def __getitem__(self, letter):
         """Matrix for a 0-based letter index or a name."""
         return self.matrices[self.letter_index(letter)]
+
+    def _memoised(self, key, compute):
+        """``compute()``, run once per ``key``, which names the computation
+        and every argument that affects it.  A raising call stores
+        nothing, so it raises again when repeated."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
+
+    def _eigenpairs(self, index):
+        """:func:`~matword.spectral.eigendecompose` of the matrix at a
+        0-based letter index, as a tuple."""
+        return self._memoised(
+            ("eigendecompose", index),
+            lambda: tuple(spectral.eigendecompose(self.matrices[index])))
 
     def letter_index(self, letter):
         if isinstance(letter, str):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numeric, spectral, structure, words
+from . import numeric, structure, words
 from .exceptions import (
     BudgetExhausted,
     HypothesesNotMet,
@@ -212,10 +212,9 @@ def _check_q2_hypotheses(collection, tol):
                     f"matrices {collection.names[r]} and {collection.names[s]} "
                     "do not commute"
                 )
-    for name, M in zip(collection.names, collection.matrices):
-        for pair in spectral.eigendecompose(M):
-            if pair.defective:
-                raise HypothesesNotMet(f"matrix {name} is not diagonalizable")
+    for index, name in enumerate(collection.names):
+        if any(pair.defective for pair in collection._eigenpairs(index)):
+            raise HypothesesNotMet(f"matrix {name} is not diagonalizable")
 
 
 @dataclass(frozen=True)
@@ -293,7 +292,7 @@ def _class_tuples(collection, xi, q, residues):
 
 
 def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL,
-                   limit_tol=numeric.CONVERGENCE_TOL):
+                   limit_tol=numeric.CONVERGENCE_TOL, rho_tol=numeric.CLUSTER_TOL):
     """Search for prefix lengths with equal orbit tuples and extract the
     congruence witness.
 
@@ -315,10 +314,13 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
     within tol * (1 + |xi|) of the first chosen prefix's.  A miss of
     either check raises HypothesesNotMet.  The work is O(N * q + classes * N)
     matrix products whatever the budget.
+
+    ``rho_tol`` is the spectral-radius band of
+    :func:`~matword.words.global_period`, which gives q.
     """
     _check_q2_hypotheses(collection, tol=tol * numeric.SLACK)
     system = structure.common_eigenvectors(collection)
-    cert = words.global_period(collection)
+    cert = words.global_period(collection, rho_tol=rho_tol)
     q, kappa = cert.q, system.kappa
     m = tau.m
 
@@ -396,17 +398,19 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
     )
 
 
-def tuple_first_component_stability(collection, tau, x, p_range):
+def tuple_first_component_stability(collection, tau, x, p_range,
+                                    rho_tol=numeric.CLUSTER_TOL):
     """True when the first orbit-tuple component stays xi_x across the
     prefix lengths in ``p_range``.
 
     Each prefix's limit is recomputed independently; a non-convergent
     limit is a hypothesis violation and raises rather than returning a
-    bool.
+    bool.  ``rho_tol`` is the spectral-radius band of
+    :func:`~matword.words.global_period`.
     """
     tol = numeric.TUPLE_TOL
     _check_q2_hypotheses(collection, tol=tol * numeric.SLACK)
-    cert = words.global_period(collection)
+    cert = words.global_period(collection, rho_tol=rho_tol)
     ps = sorted(int(p) for p in p_range)
     if not ps:
         raise ValueError("p_range must be nonempty")

@@ -27,6 +27,7 @@ class EigenPair:
     ``algebraic`` and ``geometric`` are the multiplicities of the eigenvalue
     cluster the pair belongs to; ``geometric < algebraic`` flags a defective
     eigenvalue, in which case only the geometric eigenspace is reported.
+    The eigenvector is read-only: a collection shares its pairs.
     """
 
     eigenvalue: complex
@@ -161,6 +162,7 @@ def eigendecompose(A):
             Av = numeric.mat_vec(A, v)
             lam = realify(np.vdot(v, Av), cluster_tol)  # Rayleigh quotient
             residual = numeric.vector_norm(Av - lam * v)
+            v.setflags(write=False)
             pairs.append(
                 EigenPair(lam, v, residual, algebraic=algebraic, geometric=geometric)
             )
@@ -215,8 +217,12 @@ def peripheral_period(A, rho_tol=numeric.CLUSTER_TOL):
     """
     A = numeric.require_nonnegative(
         numeric.require_square(np.asarray(A, dtype=np.float64)))
-    n = A.shape[0]
-    pairs = eigendecompose(A)
+    return _peripheral_report(eigendecompose(A), A.shape[0], rho_tol)
+
+
+def _peripheral_report(pairs, n, rho_tol):
+    """:func:`peripheral_period` from the :func:`eigendecompose` pairs of
+    a nonnegative n x n matrix."""
     rho = max((abs(p.eigenvalue) for p in pairs), default=0.0)
     scale = numeric.CLUSTER_TOL * max(1.0, rho)
     peripheral = tuple(p for p in pairs if abs(abs(p.eigenvalue) - rho) <= scale)

@@ -149,7 +149,8 @@ class CommonEigenSystem:
     ``lambda_table[s, r]`` its eigenvalue for the r-th matrix.  Vectors are
     ordered with the modulus-one block first: ``s < kappa`` exactly when
     every ``|lambda_table[s, r]|`` is within tolerance of one.  ``s2_pairs``
-    lists index pairs of literal conjugate vectors.
+    lists index pairs of literal conjugate vectors.  The arrays are
+    read-only: a collection shares its system.
     """
 
     vectors: tuple
@@ -188,10 +189,12 @@ def _distinct(values, tol):
     return kept
 
 
-def _refine(matrices, tol):
+def _refine(matrices, tol, first_pairs):
     """Candidate-subspace refinement over a list of square matrices.
 
-    Start from the eigenspaces of the first matrix; against each further
+    Start from the eigenspaces of the first matrix, at the distinct
+    eigenvalues of ``first_pairs``, its
+    :func:`~matword.spectral.eigendecompose`; against each further
     matrix A_r keep, inside each candidate span Q, only the directions c
     with A_r Q c = mu Q c for some eigenvalue mu of the compression
     Q* A_r Q.  Those are the kernel vectors of [compression - mu I]
@@ -206,7 +209,7 @@ def _refine(matrices, tol):
     n = first.shape[0]
     cut = tol * max(1.0, _max_abs(first)) * n
     subspaces = []
-    for lam in _distinct((p.eigenvalue for p in spectral.eigendecompose(first)), tol):
+    for lam in _distinct((p.eigenvalue for p in first_pairs), tol):
         basis = spectral.eigenspace_basis(first, lam, tol=cut)
         if basis.shape[1]:
             subspaces.append((basis, [lam]))
@@ -273,9 +276,15 @@ def common_eigenvectors(collection, tol=numeric.CLUSTER_TOL):
     """Compute E', the eigenvalue table, kappa, and the conjugate pairs.
 
     The result is empty (d = 0) when the collection has no common
-    eigenvectors; that is a value, not an error.
+    eigenvectors; that is a value, not an error.  It is computed once per
+    collection and ``tol``.
     """
-    subspaces = _refine(collection.matrices, tol)
+    return collection._memoised(("common_eigenvectors", tol),
+                                lambda: _common_eigenvectors(collection, tol))
+
+
+def _common_eigenvectors(collection, tol):
+    subspaces = _refine(collection.matrices, tol, collection._eigenpairs(0))
     norms = [max(1.0, numeric.operator_norm(M)) for M in collection.matrices]
 
     entries = []
@@ -325,8 +334,11 @@ def common_eigenvectors(collection, tol=numeric.CLUSTER_TOL):
                 s2.append((s1, s2_idx))
                 used.update((s1, s2_idx))
                 break
+    vectors = tuple(v.copy() for v in vectors)
+    for array in vectors + (table,):
+        array.setflags(write=False)
     return CommonEigenSystem(
-        vectors=tuple(v.copy() for v in vectors),
+        vectors=vectors,
         lambda_table=table,
         kappa=kappa,
         s2_pairs=tuple(s2),
@@ -420,7 +432,7 @@ def simultaneous_triangularization(collection):
 def _common_eigenvector_of(blocks, tol):
     """One common eigenvector of a list of complex square matrices, or None:
     the canonical first column of the first subspace :func:`_refine` keeps."""
-    subspaces = _refine(blocks, tol)
+    subspaces = _refine(blocks, tol, spectral.eigendecompose(blocks[0]))
     if not subspaces:
         return None
     return spectral.canonical_phase(subspaces[0][0][:, 0])

@@ -84,19 +84,29 @@ def global_period(collection, letters=None, rho_tol=numeric.CLUSTER_TOL):
     radius beyond ``1 + rho_tol`` has no period and raises
     :class:`~matword.exceptions.SpectralRadiusViolation`; a strictly
     subcritical matrix contributes q_r = 1 (its only limit is 0).
+
+    The certificate is computed once per collection, letters and
+    ``rho_tol``, from each letter's shared eigendecomposition.
     """
-    if letters is None:
-        letters = tuple(range(collection.N))
+    letters = tuple(range(collection.N)) if letters is None else tuple(letters)
+    return collection._memoised(
+        ("global_period", letters, rho_tol),
+        lambda: _global_period(collection, letters, rho_tol))
+
+
+def _global_period(collection, letters, rho_tol):
     qs = []
     for l in letters:
-        M = collection.matrices[collection.letter_index(l)]
-        report = spectral.peripheral_period(M, rho_tol=rho_tol)
+        index = collection.letter_index(l)
+        numeric.require_nonnegative(collection.matrices[index])
+        report = spectral._peripheral_report(collection._eigenpairs(index),
+                                             collection.n, rho_tol)
         if report.q_r is None:
             raise SpectralRadiusViolation(
-                f"rho({collection.names[l]}) = {report.rho} exceeds 1 + {rho_tol}"
+                f"rho({collection.names[index]}) = {report.rho} exceeds 1 + {rho_tol}"
             )
         qs.append(report.q_r)
-    return PeriodCertificate(letters=tuple(letters), q_r=tuple(qs), q=math.lcm(*qs))
+    return PeriodCertificate(letters=letters, q_r=tuple(qs), q=math.lcm(*qs))
 
 
 def word_period(collection, word, rho_tol=numeric.CLUSTER_TOL):

@@ -166,6 +166,30 @@ def test_q2_query(ex2_path):
     assert fragment["tau"] == "periodic:01"
 
 
+def test_q2_honours_rho_tol(tmp_path):
+    """rho(A) = 1 + 5e-8 passes --rho-tol 1e-7, and q2 takes its period
+    under that band; without the flag it still stops at the radius."""
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"dimension": 2, "matrices": {
+        "A": [[0, 1.00000005], [1.00000005, 0]], "B": [[1, 0], [0, 1]]}}))
+
+    def q2(*flags):
+        code, out, _ = run_cli(["q2", str(path), "--tau", "periodic:AB", *flags,
+                                "--format", "machine"])
+        return code, json.loads(out)["queries"][0]
+
+    code, fragment = q2("--x", "0,0", "--rho-tol", "1e-7")
+    assert code == 0 and fragment["q"] == 2
+    assert fragment["tolerances"]["rho_tol"] == 1e-7
+    # x = (1, 0.5) grows like rho^k, so its limit, not the period, fails
+    code, fragment = q2("--x", "1,0.5", "--rho-tol", "1e-7")
+    assert code == 4 and "did not converge" in fragment["error"]
+    code, fragment = q2("--x", "1,0.5", "--force")
+    assert code == 4
+    assert fragment["error"] == (
+        "SpectralRadiusViolation: rho(A) = 1.00000005 exceeds 1 + 1e-08")
+
+
 def test_analyze_multiple_queries(ex2_path):
     code, out, _ = run_cli([
         "analyze", ex2_path,

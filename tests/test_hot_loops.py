@@ -6,16 +6,20 @@ prefix chain M_p = A_{tau_p} M_{p-1} with the greedy tuple grouping
 (against q2's integer keys and, within the tuple tolerance, its residue
 class tuples), the class tuples' products looped one at a time,
 per-letter count tables, one letter map at a time, and the
-fixed-point loop written with the numpy reductions.
+fixed-point loop written with the numpy reductions.  A collection's
+shared spectral results are checked against the same calls on fresh
+collections.
 """
 
 import math
+import pathlib
+import pickle
 
 import numpy as np
 import pytest
 
 from helpers import bits_equal, random_commuting_collection, random_covering_word
-from matword import conemaps, infinite, numeric, words
+from matword import conemaps, infinite, numeric, reporting, spectral, structure, words
 from matword.collection import MatrixCollection
 from matword.exceptions import BudgetExhausted
 
@@ -316,3 +320,49 @@ def test_fixed_point_loop_matches_reduction_loop(name):
     if name in ("nan", "inf", "minus-inf", "past-bound", "inf-with-infinite-bound",
                 "growth"):
         assert got[3] == "diverged"
+
+
+# ---------------------------------------------------------------------------
+# spectral results shared by a collection
+
+
+def test_collection_analyses_each_matrix_once(monkeypatch):
+    """A slow-mixing request's calls share one eigendecomposition per
+    matrix and one common-eigenvector refinement, and each result is bit
+    for bit the same call's result on a fresh collection."""
+    path = pathlib.Path(__file__).parent / "golden" / "slow-mixing.json"
+
+    def fresh():
+        return reporting.load_collection(path)[0]
+
+    word = words.Word((0, 0, 1))
+    x = numeric.parse_vector("2,-1,1,0.5,-0.5,1,3,-2,1")
+    tau = infinite.InfiniteWord.periodic(word.letters, N=2)
+    q = 6
+    calls = {
+        "global_period": lambda c: words.global_period(c),
+        "common_eigenvectors": lambda c: structure.common_eigenvectors(c),
+        "limit_point": lambda c: words.limit_point(c, word, x, q),
+        "cone_limit": lambda c: conemaps.cone_limit(c, word, np.exp(x), q),
+        "q2_certificate": lambda c: infinite.q2_certificate(c, tau, x),
+    }
+    expected = {name: pickle.dumps(call(fresh())) for name, call in calls.items()}
+
+    counts = {"eigendecompose": 0, "_refine": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(spectral, "eigendecompose")
+    counted(structure, "_refine")
+    coll = fresh()
+    got = {name: pickle.dumps(call(coll)) for name, call in calls.items()}
+    assert counts == {"eigendecompose": coll.N, "_refine": 1}
+    assert words.global_period(coll).q == q
+    assert got == expected

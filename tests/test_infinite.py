@@ -1,6 +1,9 @@
+import collections
+import hashlib
 import io
 import json
 import pathlib
+import pickle
 
 import numpy as np
 import pytest
@@ -251,6 +254,18 @@ def test_q2_work_does_not_grow_with_the_budget(monkeypatch):
     cert = infinite.q2_certificate(coll, tau, x)
     assert len(cert.p_gammas) == 1729 and cert.p_gammas[-1] == 7779
     assert calls[0] < 500
+
+
+def test_q2_sweep_outcomes_are_pinned():
+    """The seeded 2,412-call sweep of ``tests/q2_sweep.py``: every outcome
+    is integer data or an integer-only message, so its hash is exact."""
+    from q2_sweep import outcomes
+
+    results = list(outcomes())
+    assert dict(collections.Counter(r[0] for r in results)) == {
+        "cert": 1969, "BudgetExhausted": 443}
+    assert hashlib.sha256(pickle.dumps(results)).hexdigest() == (
+        "d54479451507f92f5bb31a345349f99651deb22a9198e2d2f45217940b6cbf1d")
 
 
 def test_q2_certificate_rejects_noncommuting():

@@ -62,6 +62,28 @@ def test_global_period_radius_violation():
         words.global_period(coll)
 
 
+def test_shared_results_are_read_only():
+    coll = ENTRIES["example2"].collection
+    system = structure.common_eigenvectors(coll)
+    shared = [coll._eigenpairs(0)[0].eigenvector, system.lambda_table,
+              system.vectors[0]]
+    for array in shared:
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_period_key_holds_rho_tol_and_errors_are_not_kept():
+    """rho(A) = 1 + 5e-8 lies outside the default band and inside 1e-7;
+    each call with the default band raises afresh."""
+    A = np.array([[0.0, 1.00000005], [1.00000005, 0.0]])
+    coll = MatrixCollection(names=("A", "B"), matrices=(A, np.eye(2)))
+    with pytest.raises(SpectralRadiusViolation, match="exceeds 1 \\+ 1e-08"):
+        words.global_period(coll)
+    assert words.global_period(coll, rho_tol=1e-7).q == 2
+    with pytest.raises(SpectralRadiusViolation, match="exceeds 1 \\+ 1e-08"):
+        words.global_period(coll)
+
+
 def test_orbit_bounded_example6():
     entry = ENTRIES["example6"]
     coll = entry.collection
