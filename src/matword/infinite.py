@@ -398,19 +398,17 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
     )
 
 
-def tuple_first_component_stability(collection, tau, x, p_range,
-                                    rho_tol=numeric.CLUSTER_TOL):
+def tuple_first_component_stability(collection, tau, x, p_range):
     """True when the first orbit-tuple component stays xi_x across the
     prefix lengths in ``p_range``.
 
     Each prefix's limit is recomputed independently; a non-convergent
     limit is a hypothesis violation and raises rather than returning a
-    bool.  ``rho_tol`` is the spectral-radius band of
-    :func:`~matword.words.global_period`.
+    bool.
     """
     tol = numeric.TUPLE_TOL
     _check_q2_hypotheses(collection, tol=tol * numeric.SLACK)
-    cert = words.global_period(collection, rho_tol=rho_tol)
+    cert = words.global_period(collection)
     ps = sorted(int(p) for p in p_range)
     if not ps:
         raise ValueError("p_range must be nonempty")

@@ -82,6 +82,8 @@ def test_period_key_holds_rho_tol_and_errors_are_not_kept():
     assert words.global_period(coll, rho_tol=1e-7).q == 2
     with pytest.raises(SpectralRadiusViolation, match="exceeds 1 \\+ 1e-08"):
         words.global_period(coll)
+    with pytest.raises(SpectralRadiusViolation, match="rho\\(A\\)"):
+        words.global_period(coll, letters=("A",))
 
 
 def test_orbit_bounded_example6():
