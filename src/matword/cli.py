@@ -176,8 +176,9 @@ def query_eigensystem(ctx, args):
 def query_q2(ctx, args):
     tau = _tau_from_arg(args.tau, ctx.collection)
     x = _vector_arg(args.x, ctx.collection.n, "--x")
-    if args.budget is not None and args.budget < 1:
-        raise ParseError(f"--budget {args.budget} must be at least 1")
+    if args.budget is not None and not 1 <= args.budget <= infinite.MAX_BUDGET:
+        raise ParseError(
+            f"--budget {args.budget} must be from 1 to {infinite.MAX_BUDGET}")
     cert = infinite.q2_certificate(
         ctx.collection, tau, x,
         search_budget=args.budget,
@@ -226,7 +227,9 @@ QUERIES = {
                            "periodic:<pre>|<cycle>, or seed:<int>"}),
         _X,
         ("--budget", {"type": int, "default": None,
-                      "help": "prefix evaluation budget (default q**kappa + 1)"}),
+                      "help": "prefix evaluation budget, 1 to "
+                              f"{infinite.MAX_BUDGET} (default q**kappa + 1 "
+                              "within that cap)"}),
     ]),
 }
 

@@ -248,8 +248,9 @@ class Q2Certificate:
         """
         if len(self.p_gammas) < 2 or self.kappa == 0:
             return True
-        table = phi_table(tau, max(self.p_gammas))
-        weighted = (table[list(self.p_gammas)] @ self.lambdas) % self.q
+        p_gammas = np.array(self.p_gammas)
+        table = phi_table(tau, int(p_gammas.max()))
+        weighted = (table[p_gammas] @ self.lambdas) % self.q
         return bool(np.all(weighted == weighted[0]))
 
 
@@ -291,6 +292,51 @@ def _class_tuples(collection, xi, q, residues):
     return np.array(tuples)
 
 
+#: codes stay below this bound, so ``code * q + residue`` cannot overflow int64
+_CODE_LIMIT = 2**62
+
+
+def _renumber(values):
+    """(count, labels): each value's rank among the distinct values."""
+    distinct, labels = np.unique(values, return_inverse=True)
+    return len(distinct), labels.reshape(-1)
+
+
+def _row_codes(rows, q):
+    """One int64 code per row of a (B, k) array with entries in [0, q):
+    two codes are equal exactly when their rows are.
+
+    The code is the row read as a base-q number, one column at a time.
+    Before a column would push the codes past ``_CODE_LIMIT``, the codes
+    so far (and, for q beyond the limit, the column) are renumbered by
+    rank, which keeps them below B and keeps equality.  k = 0 codes every
+    row 0.
+    """
+    codes, size = np.zeros(len(rows), dtype=np.int64), 1
+    for column in np.asarray(rows, dtype=np.int64).T:
+        width = int(q)
+        if size * width > _CODE_LIMIT:
+            size, codes = _renumber(codes)
+        if size * width > _CODE_LIMIT:
+            width, column = _renumber(column)
+        codes = codes * width + column
+        size *= width
+    return codes
+
+
+def _largest_group(codes):
+    """Indices of the largest group of equal codes, increasing; among
+    groups of that size, the one whose first index comes first."""
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    lead = first[counts == counts.max()].min()
+    return np.flatnonzero(codes == codes[lead])
+
+
+def _first_occurrences(codes):
+    """Index of the first occurrence of each distinct code, increasing."""
+    return np.sort(np.unique(codes, return_index=True)[1])
+
+
 def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL,
                    limit_tol=numeric.CONVERGENCE_TOL, rho_tol=numeric.CLUSTER_TOL):
     """Search for prefix lengths with equal orbit tuples and extract the
@@ -304,7 +350,10 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
     Integer keys decide and floats check: the orbit tuple at prefix p
     depends only on the key sum_r lambdas[r, j] * Phi_r(p) mod q, so the
     chosen prefixes are the largest group of equal keys, ties going to the
-    earliest first prefix.
+    earliest first prefix.  Each key row becomes one exact int64 code
+    (:func:`_row_codes`) and the groups come from one sort of the codes:
+    O(B log B) array work for a budget of B prefixes, with no Python step
+    per prefix.
 
     Floats check one tuple per residue class.  Every letter must fix xi
     under its q-th power, |A_r^q xi - xi| <= tol * (1 + |xi|); then, the
@@ -312,8 +361,9 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
     vector Phi(p) mod q.  The chosen prefixes are grouped by that vector,
     and each class tuple, formed from powers A_r^k with k < q, must lie
     within tol * (1 + |xi|) of the first chosen prefix's.  A miss of
-    either check raises HypothesesNotMet.  The work is O(N * q + classes * N)
-    matrix products whatever the budget.
+    either check raises HypothesesNotMet.  The classes are found by the
+    same codes, in order of first occurrence.  The float work is
+    O(N * q + classes * N) matrix products whatever the budget.
 
     ``rho_tol`` is the spectral-radius band of
     :func:`~matword.words.global_period`, which gives q.
@@ -361,32 +411,30 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
             lambdas[r, j] = k
 
     table = phi_table(tau, m + search_budget - 1)
-    groups = {}  # insertion order: by first prefix
-    for i, key in enumerate(map(tuple, ((table[m:] @ lambdas) % q).tolist())):
-        groups.setdefault(key, []).append(i)
-    best = max(groups.values(), key=len)
-    if len(best) < 2:
+    # columns off the support are 0 and add nothing to the keys
+    keys = (table[m:] @ lambdas[:, list(support)]) % q
+    chosen = m + _largest_group(_row_codes(keys, q))
+    if len(chosen) < 2:
         raise BudgetExhausted(
             f"no repeated orbit tuple among {search_budget} prefixes; "
             f"q**kappa + 1 = {q**kappa + 1} evaluations always suffice"
         )
-    p_gammas = tuple(m + i for i in best)
+    p_gammas = tuple(chosen.tolist())
 
     _check_fixed_by_letters(collection, xi, q, tol_scale)
-    classes = {}  # residue vector -> its first chosen prefix
-    for p, e in zip(p_gammas, map(tuple, (table[list(p_gammas)] % q).tolist())):
-        classes.setdefault(e, p)
-    tuples = _class_tuples(collection, xi, q, list(classes))
+    phis = table[chosen]
+    vectors = phis % q  # residue vectors Phi(p) mod q
+    classes = _first_occurrences(_row_codes(vectors, q))
+    tuples = _class_tuples(collection, xi, q, vectors[classes].tolist())
     gaps = np.abs(tuples - tuples[0]).max(axis=(1, 2))
-    for p, gap in zip(classes.values(), gaps.tolist()):
+    for p, gap in zip(chosen[classes].tolist(), gaps.tolist()):
         if not gap <= tol_scale:  # NaN included
             raise HypothesesNotMet(
                 f"orbit tuples at prefixes {p_gammas[0]} and {p} "
                 f"differ by {gap:.3g} although their letter-count keys agree"
             )
 
-    deltas = table[list(p_gammas[1:])] - table[p_gammas[0]]
-    residues = (deltas @ lambdas) % q
+    residues = ((phis[1:] - phis[0]) @ lambdas) % q
     return Q2Certificate(
         p_gammas=p_gammas,
         lambdas=lambdas,

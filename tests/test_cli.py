@@ -190,6 +190,25 @@ def test_q2_honours_rho_tol(tmp_path):
         "SpectralRadiusViolation: rho(A) = 1.00000005 exceeds 1 + 1e-08")
 
 
+@pytest.mark.parametrize("budget, code", [
+    ("100001", 2), ("1000000000000", 2), ("100000", 0)])
+def test_q2_budget_cap(tmp_path, budget, code):
+    """A budget above infinite.MAX_BUDGET is an input error, not a failed
+    allocation of its letter-count table; the cap itself still runs."""
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps({"dimension": 2, "matrices": {
+        "A": [[0, 1], [1, 0]], "B": [[1, 0], [0, 1]]}}))
+    got, out, err = run_cli(["q2", str(path), "--tau", "periodic:AB",
+                             "--x", "1,0.5", "--budget", budget,
+                             "--format", "machine"])
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err == f"input error: --budget {budget} must be from 1 to 100000\n"
+    else:
+        assert len(json.loads(out)["queries"][0]["p_gammas"]) == 50_000
+
+
 def test_analyze_multiple_queries(ex2_path):
     code, out, _ = run_cli([
         "analyze", ex2_path,

@@ -4,7 +4,9 @@ replaces, compared bit for bit where the two compute the same floats.
 The oracles are the straightforward per-element forms: the sequential
 prefix chain M_p = A_{tau_p} M_{p-1} with the greedy tuple grouping
 (against q2's integer keys and, within the tuple tolerance, its residue
-class tuples), the class tuples' products looped one at a time,
+class tuples), the per-prefix dict loop that grouped q2's keys and
+classes (against the array selection by row codes), the class tuples'
+products looped one at a time,
 per-letter count tables, one letter map at a time, and the
 fixed-point loop written with the numpy reductions.  A collection's
 shared spectral results are checked against the same calls on fresh
@@ -110,6 +112,108 @@ def test_class_tuples_match_the_prefix_chain(seed):
         assert np.abs(got - expected[index.ravel()]).max() <= tol_scale
         shared += len(distinct) < budget
     assert shared  # some class holds several prefixes
+
+
+def dict_selection(keys, residues):
+    """The per-prefix loop the array selection replaced: the largest group
+    of equal key rows, ties going to the earliest first index, then the
+    first index of each distinct residue row within it, in order of first
+    occurrence."""
+    groups = {}  # insertion order: by first index
+    for i, key in enumerate(map(tuple, keys.tolist())):
+        groups.setdefault(key, []).append(i)
+    best = max(groups.values(), key=len)
+    classes = {}
+    for i, e in zip(best, map(tuple, residues[best].tolist())):
+        classes.setdefault(e, i)
+    return best, list(classes.values())
+
+
+def array_selection(keys, residues, q):
+    chosen = infinite._largest_group(infinite._row_codes(keys, q))
+    classes = infinite._first_occurrences(infinite._row_codes(residues[chosen], q))
+    return chosen.tolist(), chosen[classes].tolist()
+
+
+def pooled_rows(rng, count, width, q, pool):
+    """``count`` rows drawn from ``pool`` random rows whose column j takes
+    one of ten random values in [0, q), so that many rows differ in one
+    column only; ``pool`` None makes every row distinct."""
+    if pool is None:
+        codes = rng.choice(q**width, size=count, replace=False)
+        return np.stack(np.unravel_index(codes, (q,) * width), axis=1)
+    values = rng.integers(0, q, size=(10, width), dtype=np.int64)
+    rows = values[rng.integers(0, 10, size=(pool, width)), np.arange(width)]
+    return rows[rng.integers(0, pool, size=count)]
+
+
+#: name -> (budget B, kappa, N, q, distinct key rows drawn from)
+SELECTION_CASES = {
+    "small": (60, 3, 2, 5, 12),
+    "kappa-0": (30, 0, 2, 4, 1),
+    "all-distinct": (50, 3, 3, 7, None),
+    "max-budget": (infinite.MAX_BUDGET, 5, 3, 6, 700),
+    "q^kappa-past-2^62": (5000, 3, 2, 2**40, 300),
+    "q-past-2^62/B": (3000, 2, 2, 2**61, 100),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(SELECTION_CASES))
+def test_selection_matches_dict_oracle(name, seed, monkeypatch):
+    """The array selection picks exactly the dict loop's prefixes and class
+    representatives on seeded integer keys: random group sizes, and every
+    group tied at one size.  Where q**kappa passes 2^62 the codes are
+    renumbered on the way."""
+    B, kappa, N, q, pool = SELECTION_CASES[name]
+    rng = np.random.default_rng(seed)
+    renumbered = []
+    original = infinite._renumber
+
+    def counted(values):
+        renumbered.append(len(values))
+        return original(values)
+
+    monkeypatch.setattr(infinite, "_renumber", counted)
+    keys = pooled_rows(rng, B, kappa, q, pool)
+    distinct = rng.permutation(np.unique(keys, axis=0))[:40]
+    tied = rng.permutation(np.repeat(distinct, 3, axis=0))
+    for rows in (keys, tied):
+        residues = pooled_rows(rng, len(rows), N, q, 9)
+        assert array_selection(rows, residues, q) == dict_selection(rows, residues)
+    assert bool(renumbered) == (q**kappa > 2**62)
+
+
+def test_row_codes_keep_rows_apart_past_int64():
+    """q = 2^61: first entries k and k + 2^60 (k < 8) against 16 second
+    entries, every pair twice.  Read in base q, or with either the codes
+    or the column left unrenumbered, some distinct rows wrap onto one
+    int64 code; the codes must match the rows exactly."""
+    q = 2**61
+    first = np.concatenate([np.arange(8), np.arange(8) + 2**60])
+    rows = np.stack(np.meshgrid(first, np.arange(16)), axis=-1).reshape(-1, 2)
+    rows = np.random.default_rng(0).permutation(np.concatenate([rows, rows]))
+    _, by_row = np.unique(rows, axis=0, return_inverse=True)
+    _, by_code = np.unique(infinite._row_codes(rows, q), return_inverse=True)
+    assert by_code.max() == 255
+    assert np.array_equal(by_code.ravel(), by_row.ravel())
+
+
+def test_q2_at_max_budget_matches_dict_oracle():
+    """Swap and identity along ABAB...: at the budget cap the keys split the
+    prefixes by the parity of the A count, two groups of 50,000, and the
+    tie goes to the group of the first prefix."""
+    coll = MatrixCollection(names=("A", "B"),
+                            matrices=(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)))
+    tau = infinite.InfiniteWord.periodic((0, 1), N=2)
+    B = infinite.MAX_BUDGET
+    cert = infinite.q2_certificate(coll, tau, np.array([1.0, 0.5]), search_budget=B)
+    table = infinite.phi_table(tau, cert.m + B - 1)
+    keys = (table[cert.m:] @ cert.lambdas) % cert.q
+    best, _ = dict_selection(keys, table[cert.m:] % cert.q)
+    assert len(cert.p_gammas) == 50_000
+    assert cert.p_gammas == tuple(cert.m + i for i in best)
+    assert cert.verify(tau)
 
 
 def looped_class_tuple(matrices, xi, q, e):
