@@ -176,9 +176,12 @@ def query_eigensystem(ctx, args):
 def query_q2(ctx, args):
     tau = _tau_from_arg(args.tau, ctx.collection)
     x = _vector_arg(args.x, ctx.collection.n, "--x")
-    if args.budget is not None and not 1 <= args.budget <= infinite.MAX_BUDGET:
-        raise ParseError(
-            f"--budget {args.budget} must be from 1 to {infinite.MAX_BUDGET}")
+    if args.budget is not None:
+        try:
+            infinite.check_budget(args.budget)
+        except ValueError:
+            raise ParseError(f"--budget {args.budget} must be from 1 to "
+                             f"{infinite.MAX_BUDGET}") from None
     cert = infinite.q2_certificate(
         ctx.collection, tau, x,
         search_budget=args.budget,

@@ -337,6 +337,16 @@ def _first_occurrences(codes):
     return np.sort(np.unique(codes, return_index=True)[1])
 
 
+def check_budget(search_budget):
+    """``search_budget`` as an int, after checking that it lies in
+    [1, MAX_BUDGET]: the search tabulates the letter counts of that many
+    prefixes, so a larger budget would only end in a failed allocation."""
+    budget = int(search_budget)
+    if not 1 <= budget <= MAX_BUDGET:
+        raise ValueError(f"search_budget {budget} must be from 1 to {MAX_BUDGET}")
+    return budget
+
+
 def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL,
                    limit_tol=numeric.CONVERGENCE_TOL, rho_tol=numeric.CLUSTER_TOL):
     """Search for prefix lengths with equal orbit tuples and extract the
@@ -366,8 +376,13 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
     O(N * q + classes * N) matrix products whatever the budget.
 
     ``rho_tol`` is the spectral-radius band of
-    :func:`~matword.words.global_period`, which gives q.
+    :func:`~matword.words.global_period`, which gives q.  The default
+    budget is min(q**kappa + 1, MAX_BUDGET); an explicit one outside
+    [1, MAX_BUDGET] raises ValueError (:func:`check_budget`) before any
+    work is done.
     """
+    if search_budget is not None:
+        search_budget = check_budget(search_budget)
     _check_q2_hypotheses(collection, tol=tol * numeric.SLACK)
     system = structure.common_eigenvectors(collection)
     cert = words.global_period(collection, rho_tol=rho_tol)
@@ -387,9 +402,6 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
 
     if search_budget is None:
         search_budget = min(q**kappa + 1, MAX_BUDGET)
-    search_budget = int(search_budget)
-    if search_budget < 1:
-        raise ValueError("search_budget must be at least 1")
 
     # xi via the defining iterative route, on the first covering prefix
     first = a_tilde(collection, tau.prefix(m), q, x, tol=limit_tol)

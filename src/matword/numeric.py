@@ -99,11 +99,10 @@ def require_nonnegative(M, what="matrix"):
 
 def first_negative_entry(M):
     """Index ``(i, j)`` of the first negative entry, or ``None``."""
-    M = np.asarray(M)
-    bad = np.argwhere(M < 0)
-    if bad.size == 0:
+    negative = np.asarray(M) < 0
+    if not negative.any():
         return None
-    return tuple(int(k) for k in bad[0])
+    return tuple(int(k) for k in np.argwhere(negative)[0])
 
 
 def is_nonnegative(M):
@@ -141,10 +140,21 @@ def mat_power(A, k):
     return out
 
 
+def column_dots(U, W):
+    """Inner products conj(U[:, k]) . W[:, k] of matching columns, summed
+    in ascending index order like :func:`mat_mul`."""
+    return np.einsum("ij,ij->j", np.conj(U), W, optimize=False)
+
+
 def vector_norm(v):
     """Euclidean norm by ``hypot``, which cannot overflow where the sum of
     squares would (entries near 1e300)."""
     return float(np.hypot.reduce(np.abs(v), initial=0.0))
+
+
+def column_norms(V):
+    """:func:`vector_norm` of each column of V."""
+    return np.hypot.reduce(np.abs(V), axis=0, initial=0.0)
 
 
 def operator_norm(A):

@@ -5,10 +5,14 @@ per-matrix period q_r (the lcm of the peripheral orders when the spectral
 radius is one), and the index of imprimitivity of an irreducible nonnegative
 matrix.
 
-The eigen-engine is LAPACK via ``numpy.linalg``; the value this module adds
-is deterministic ordering, phase canonicalisation, eigenvalue clustering and
-defectiveness detection, so that downstream consumers see a stable,
-conjugation-closed decomposition.
+The eigen-engine is LAPACK via ``numpy.linalg``: one ``eig`` per
+decomposed matrix, whose eigenvectors serve every simple eigenvalue, and an
+SVD nullspace only for a repeated eigenvalue cluster, where the geometric
+multiplicity is a rank decision.  The value this module adds is
+deterministic ordering, phase canonicalisation (array work over all
+eigenvectors at once), eigenvalue clustering and defectiveness detection,
+so that downstream consumers see a stable, conjugation-closed
+decomposition.
 """
 
 import math
@@ -27,7 +31,9 @@ class EigenPair:
     ``algebraic`` and ``geometric`` are the multiplicities of the eigenvalue
     cluster the pair belongs to; ``geometric < algebraic`` flags a defective
     eigenvalue, in which case only the geometric eigenspace is reported.
-    The eigenvector is read-only: a collection shares its pairs.
+    ``cluster`` numbers that cluster among the matrix's clusters, so the
+    pairs of one cluster share it.  The eigenvector is read-only: a
+    collection shares its pairs.
     """
 
     eigenvalue: complex
@@ -35,6 +41,7 @@ class EigenPair:
     residual: float
     algebraic: int = 1
     geometric: int = 1
+    cluster: int = 0
 
     @property
     def defective(self):
@@ -48,19 +55,26 @@ def canonical_phase(v):
     slack of the maximum; the slack makes the choice stable under rounding
     noise, so conjugate vectors pick the same pivot and canonicalise to
     literal conjugates of each other."""
-    v = np.asarray(v, dtype=np.complex128)
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
-        return v
-    v = v / nrm
-    moduli = np.abs(v)
-    idx = int(np.argmax(moduli >= moduli.max() * (1.0 - numeric.PIVOT_SLACK)))
-    pivot = v[idx]
-    if pivot != 0:
-        v = v * (np.conj(pivot) / abs(pivot))
-    # the pivot entry is now exactly real
-    v[idx] = v[idx].real
-    return v
+    return canonical_phases(np.reshape(v, (-1, 1)))[:, 0]
+
+
+def canonical_phases(V):
+    """A complex copy of V with each column scaled by
+    :func:`canonical_phase`; a zero column stays zero."""
+    V = np.array(V, dtype=np.complex128)
+    if V.size == 0:
+        return V
+    norms = numeric.column_norms(V)
+    V /= np.where(norms == 0, 1.0, norms)
+    moduli = np.abs(V)
+    rows = np.argmax(moduli >= moduli.max(axis=0) * (1.0 - numeric.PIVOT_SLACK), axis=0)
+    cols = np.arange(V.shape[1])
+    pivots = V[rows, cols]
+    sizes = np.abs(pivots)
+    V *= np.where(sizes == 0, 1.0, np.conj(pivots) / np.where(sizes == 0, 1.0, sizes))
+    # the pivot entries are now exactly real
+    V[rows, cols] = V[rows, cols].real
+    return V
 
 
 def _eig_sort_key(value):
@@ -76,17 +90,25 @@ def realify(value, tol):
     return value
 
 
+def realify_all(values, tol):
+    """:func:`realify` of each entry of an array, as a complex array."""
+    values = np.asarray(values, dtype=np.complex128)
+    return np.where(np.abs(values.imag) <= tol,
+                    values.real.astype(np.complex128), values)
+
+
 def _cluster(values, tol):
-    """Group near-equal complex values.  Values arrive sorted by the
-    deterministic key, so a greedy sweep is enough at corpus separations."""
+    """Index groups of near-equal complex values.  Values arrive sorted by
+    the deterministic key, so a greedy sweep is enough at corpus
+    separations."""
     clusters = []
-    for value in values:
+    for index, value in enumerate(values):
         for cluster in clusters:
-            if abs(cluster[0] - value) <= tol:
-                cluster.append(value)
+            if abs(values[cluster[0]] - value) <= tol:
+                cluster.append(index)
                 break
         else:
-            clusters.append([value])
+            clusters.append([index])
     return clusters
 
 
@@ -96,14 +118,22 @@ def _as_matrix(A):
     return numeric.require_square(A.astype(dtype, copy=False))
 
 
-def eigenvalues(A):
-    """All eigenvalues (with multiplicity), deterministically ordered."""
+def _eig(A, vectors):
+    """LAPACK's eigenvalues of A in the deterministic order and, with
+    ``vectors``, its unit eigenvectors as the matching columns (else
+    None)."""
     A = numeric.require_finite(_as_matrix(A))
     try:
-        vals = np.linalg.eigvals(A)
+        vals, vecs = np.linalg.eig(A) if vectors else (np.linalg.eigvals(A), None)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverFailure(str(exc)) from exc
-    return np.array(sorted(vals, key=_eig_sort_key))
+    order = sorted(range(vals.shape[0]), key=lambda i: _eig_sort_key(vals[i]))
+    return vals[order], None if vecs is None else vecs[:, order]
+
+
+def eigenvalues(A):
+    """All eigenvalues (with multiplicity), deterministically ordered."""
+    return _eig(A, vectors=False)[0]
 
 
 def eigenspace_basis(A, mu, tol):
@@ -122,50 +152,67 @@ def eigenspace_basis(A, mu, tol):
     return numeric.rank_and_nullspace(shifted, tol)[1]
 
 
+def _cluster_basis(A, mu, tol, scale):
+    """Eigenspace basis of a repeated cluster at mu, cut at ``tol * scale``;
+    a severely ill-conditioned cluster that yields no vector there falls
+    back to the cut ``sqrt(tol) * scale``, so the cluster is never empty."""
+    basis = eigenspace_basis(A, mu, tol=tol * scale)
+    if basis.shape[1] == 0:
+        basis = eigenspace_basis(A, mu, tol=math.sqrt(tol) * scale)
+        if basis.shape[1] == 0:
+            raise EigenSolverFailure(
+                f"no eigenvector found for eigenvalue cluster near {mu}"
+            )
+    return basis
+
+
 def eigendecompose(A):
     """Eigen decomposition with clustering, canonical phases and
-    defectiveness flags.
+    defectiveness flags, from one LAPACK ``eig`` call.
 
     Returns a list of :class:`EigenPair`.  For a diagonalizable matrix the
     list has ``n`` entries; a defective eigenvalue cluster contributes only
     its geometric eigenspace (each basis vector once), flagged through the
-    multiplicity fields.
+    multiplicity fields.  A simple eigenvalue takes eig's eigenvector; a
+    repeated cluster takes the SVD nullspace of A - mu I at the cluster
+    mean mu, since there the geometric multiplicity is a rank decision.
+    Every pair's eigenvalue is the Rayleigh quotient of its canonical
+    vector, and its residual |A v - lambda v|.
 
     Complex pairs appear adjacently (positive imaginary part first), and the
     output is a deterministic function of the input bytes.
     """
     A = _as_matrix(A)
     n = A.shape[0]
-    vals = eigenvalues(A)
+    vals, vecs = _eig(A, vectors=True)
     rho = float(np.max(np.abs(vals))) if n else 0.0
     cluster_tol = numeric.CLUSTER_TOL * max(1.0, rho)
     norm_scale = max(1.0, float(np.max(np.abs(A))) * n)
 
-    pairs = []
-    for cluster in _cluster(vals, cluster_tol):
-        mu = realify(np.mean(cluster), cluster_tol)
+    columns = []
+    fields = []
+    for number, cluster in enumerate(_cluster(vals, cluster_tol)):
         algebraic = len(cluster)
-        basis = eigenspace_basis(A, mu, tol=cluster_tol * norm_scale)
-        geometric = basis.shape[1]
-        if geometric == 0:
-            # severely ill-conditioned cluster; fall back to one inverse-
-            # iteration style vector so the pair is never empty
-            basis = eigenspace_basis(A, mu, tol=math.sqrt(cluster_tol) * norm_scale)
-            geometric = basis.shape[1]
-            if geometric == 0:
-                raise EigenSolverFailure(
-                    f"no eigenvector found for eigenvalue cluster near {mu}"
-                )
-        geometric = min(geometric, algebraic)
-        for col in range(geometric):
-            v = canonical_phase(basis[:, col])
-            Av = numeric.mat_vec(A, v)
-            lam = realify(np.vdot(v, Av), cluster_tol)  # Rayleigh quotient
-            residual = numeric.vector_norm(Av - lam * v)
-            v.setflags(write=False)
-            pairs.append(
-                EigenPair(lam, v, residual, algebraic=algebraic, geometric=geometric)
-            )
+        if algebraic == 1:
+            basis = vecs[:, cluster]
+        else:
+            mu = realify(np.mean(vals[cluster]), cluster_tol)
+            basis = _cluster_basis(A, mu, cluster_tol, norm_scale)
+        geometric = min(basis.shape[1], algebraic)
+        columns.append(basis[:, :geometric])
+        fields.extend([(algebraic, geometric, number)] * geometric)
+    if not fields:
+        return []
+
+    V = canonical_phases(np.hstack(columns))
+    AV = numeric.mat_mul(A, V)
+    lams = realify_all(numeric.column_dots(V, AV), cluster_tol)  # Rayleigh quotients
+    residuals = numeric.column_norms(AV - V * lams)
+    vectors = V.T.copy()
+    vectors.setflags(write=False)
+    pairs = [EigenPair(complex(lam), v, float(residual), algebraic=a, geometric=g,
+                       cluster=c)
+             for lam, v, residual, (a, g, c) in zip(lams, vectors, residuals, fields)]
     pairs.sort(key=lambda p: _eig_sort_key(p.eigenvalue))
     return pairs
 

@@ -6,6 +6,7 @@ and the common-eigenvector refinement that produces the eigenvalue table
 lambda[r, s], the modulus-one count kappa and the conjugate-pair set S2.
 """
 
+import collections
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,15 +179,32 @@ class CommonEigenSystem:
         return np.column_stack(self.vectors)
 
 
-def _distinct(values, tol):
-    """The values made real where :func:`~matword.spectral.realify` allows,
-    dropping each one within ``tol * max(1, |kept|)`` of an earlier kept one."""
+def _groups(values, tol):
+    """``(value, member indices)`` for the values made real where
+    :func:`~matword.spectral.realify` allows: a value within
+    ``tol * max(1, |kept|)`` of an earlier kept one joins its members."""
     kept = []
-    for value in values:
+    for index, value in enumerate(values):
         value = spectral.realify(value, tol)
-        if not any(abs(value - k) <= tol * max(1.0, abs(k)) for k in kept):
-            kept.append(value)
+        for k, members in kept:
+            if abs(value - k) <= tol * max(1.0, abs(k)):
+                members.append(index)
+                break
+        else:
+            kept.append((value, [index]))
     return kept
+
+
+def _first_basis(A, lam, group, cut):
+    """Basis of the eigenspace of A at lam.  When ``group``, the eigenpairs
+    of A near lam, is one whole cluster of its eigendecomposition, that is
+    their vectors, made real when they are; a group that merges or splits
+    clusters takes the SVD nullspace cut at ``cut``."""
+    number, geometric = group[0].cluster, group[0].geometric
+    if len(group) != geometric or any(p.cluster != number for p in group):
+        return spectral.eigenspace_basis(A, lam, tol=cut)
+    basis = np.column_stack([p.eigenvector for p in group])
+    return basis if basis.imag.any() else basis.real
 
 
 def _refine(matrices, tol, first_pairs):
@@ -194,11 +212,14 @@ def _refine(matrices, tol, first_pairs):
 
     Start from the eigenspaces of the first matrix, at the distinct
     eigenvalues of ``first_pairs``, its
-    :func:`~matword.spectral.eigendecompose`; against each further
-    matrix A_r keep, inside each candidate span Q, only the directions c
-    with A_r Q c = mu Q c for some eigenvalue mu of the compression
-    Q* A_r Q.  Those are the kernel vectors of [compression - mu I]
-    stacked on the out-of-span map (I - QQ*) A_r Q.
+    :func:`~matword.spectral.eigendecompose`, whose vectors they reuse
+    (:func:`_first_basis`); against each further matrix A_r keep, inside
+    each candidate span Q, only the directions c with A_r Q c = mu Q c for
+    some eigenvalue mu of the compression Q* A_r Q.  Those are the kernel
+    vectors of [compression - mu I] stacked on the out-of-span map
+    (I - QQ*) A_r Q.  A single column is kept or dropped whole: kept when
+    that (n+1) x 1 stack has norm at most the cut, which is the rank
+    decision :func:`~matword.numeric.rank_and_nullspace` makes on it.
 
     Returns ``(basis, eigenvalue list)`` pairs.  Bases stay real as long
     as every eigenvalue on their refinement path is real, so
@@ -209,8 +230,8 @@ def _refine(matrices, tol, first_pairs):
     n = first.shape[0]
     cut = tol * max(1.0, _max_abs(first)) * n
     subspaces = []
-    for lam in _distinct((p.eigenvalue for p in first_pairs), tol):
-        basis = spectral.eigenspace_basis(first, lam, tol=cut)
+    for lam, members in _groups([p.eigenvalue for p in first_pairs], tol):
+        basis = _first_basis(first, lam, [first_pairs[i] for i in members], cut)
         if basis.shape[1]:
             subspaces.append((basis, [lam]))
 
@@ -219,7 +240,13 @@ def _refine(matrices, tol, first_pairs):
         survivors = []
         for Q, lams in subspaces:
             M, G = _compress(A, Q)
-            for mu in _distinct(spectral.eigenvalues(M), tol):
+            if Q.shape[1] == 1:
+                mu = spectral.realify(M[0, 0], tol)
+                stacked = numeric.require_finite(np.vstack([M - mu, G]))
+                if numeric.vector_norm(stacked[:, 0]) <= tol * scale:
+                    survivors.append((Q, lams + [mu]))
+                continue
+            for mu, _ in _groups(spectral.eigenvalues(M), tol):
                 stacked = np.vstack([M - mu * np.eye(M.shape[0], dtype=M.dtype), G])
                 _, Z = numeric.rank_and_nullspace(stacked, tol=tol * scale)
                 if Z.shape[1]:
@@ -257,19 +284,40 @@ def _pair_conjugate_subspaces(subspaces, tol):
     return out
 
 
-def _sort_key(lams, vector, kappa_member):
-    # quantize the eigenvalue parts so the order is decided by genuine
-    # differences, never by rounding noise; exact vector bytes break ties
-    def q(value):
-        return round(value, 6)
+# Sort keys quantize the eigenvalue and vector parts to 6 decimals, so the
+# order is decided by genuine differences, never by rounding noise; exact
+# vector bytes break the remaining ties.
 
-    parts = [0 if kappa_member else 1, q(-min(abs(l) for l in lams))]
+
+def _sort_head(lams, kappa_member):
+    """The eigenvalue part of an entry's sort key, rounded as Python
+    numbers."""
+    lams = [complex(l) for l in lams]
+    parts = [0 if kappa_member else 1, round(-min(abs(l) for l in lams), 6)]
     for lam in lams:
-        parts.extend((q(-lam.real), q(-lam.imag)))
-    parts.extend(q(-x) for x in vector.real)
-    parts.extend(q(-x) for x in vector.imag)
-    parts.append(vector.tobytes())
+        parts.extend((round(-lam.real, 6), round(-lam.imag, 6)))
     return tuple(parts)
+
+
+def _sort_tail(vector):
+    """The vector part of an entry's sort key: the components rounded as
+    numpy floats (``np.round`` of an array rounds each entry as ``round``
+    does a numpy float), then the exact bytes."""
+    parts = np.round(-np.concatenate([vector.real, vector.imag]), 6)
+    return tuple(parts.tolist()) + (vector.tobytes(),)
+
+
+def _entry_order(heads, vectors):
+    """Indices sorted by head + tail, with the tail formed only for the
+    entries whose heads tie: the same order as the full key."""
+    ties = collections.Counter(heads)
+
+    def key(i):
+        if ties[heads[i]] > 1:
+            return heads[i], _sort_tail(vectors[i])
+        return (heads[i],)
+
+    return sorted(range(len(heads)), key=key)
 
 
 def common_eigenvectors(collection, tol=numeric.CLUSTER_TOL):
@@ -285,36 +333,30 @@ def common_eigenvectors(collection, tol=numeric.CLUSTER_TOL):
 
 def _common_eigenvectors(collection, tol):
     subspaces = _refine(collection.matrices, tol, collection._eigenpairs(0))
-    norms = [max(1.0, numeric.operator_norm(M)) for M in collection.matrices]
+    N = collection.N
+    V = spectral.canonical_phases(
+        np.hstack([Q for Q, _ in subspaces]) if subspaces
+        else np.zeros((collection.n, 0)))
 
-    entries = []
-    for Q, _ in subspaces:
-        for col in range(Q.shape[1]):
-            v = spectral.canonical_phase(Q[:, col])
-            lams = []
-            ok = True
-            for M, nrm in zip(collection.matrices, norms):
-                image = numeric.mat_vec(M.astype(np.complex128), v)
-                lam = spectral.realify(np.vdot(v, image), tol)
-                if numeric.vector_norm(image - lam * v) > numeric.SLACK * tol * nrm:
-                    ok = False
-                    break
-                lams.append(lam)
-            if ok:
-                entries.append((v, lams))
+    # Rayleigh quotients and residuals of every candidate column at once;
+    # a column is kept when every matrix maps it within tolerance
+    table = np.empty((V.shape[1], N), dtype=np.complex128)
+    ok = np.ones(V.shape[1], dtype=bool)
+    for r, M in enumerate(collection.matrices):
+        image = numeric.mat_mul(M.astype(np.complex128), V)
+        table[:, r] = lams = spectral.realify_all(numeric.column_dots(V, image), tol)
+        bound = numeric.SLACK * tol * max(1.0, numeric.operator_norm(M))
+        ok &= numeric.column_norms(image - V * lams) <= bound
+    kept = np.flatnonzero(ok)
+    table = table[kept]
+    candidates = V.T[kept]
 
-    kappa_flags = [
-        all(abs(abs(l) - 1.0) <= tol for l in lams) for _, lams in entries
-    ]
-    order = sorted(
-        range(len(entries)),
-        key=lambda i: _sort_key(entries[i][1], entries[i][0], kappa_flags[i]),
-    )
-    vectors = [entries[i][0] for i in order]
-    table = np.array(
-        [entries[i][1] for i in order], dtype=np.complex128
-    ).reshape(len(order), collection.N)
-    kappa = sum(kappa_flags)
+    kappa_flags = np.all(np.abs(np.abs(table) - 1.0) <= tol, axis=1)
+    order = _entry_order(
+        [_sort_head(row, flag) for row, flag in zip(table, kappa_flags)], candidates)
+    vectors = [candidates[i] for i in order]
+    table = table[order].reshape(len(order), N)
+    kappa = int(kappa_flags.sum())
 
     # literal conjugate pairs; enforce exact conjugacy on the second member
     s2 = []

@@ -10,7 +10,10 @@ products looped one at a time,
 per-letter count tables, one letter map at a time, and the
 fixed-point loop written with the numpy reductions.  A collection's
 shared spectral results are checked against the same calls on fresh
-collections.
+collections.  The common eigenvectors' order, which forms the vector
+part of its sort key only for tied eigenvalue parts, is checked against
+the full key, and the one-column refinement step against the rank
+decision of ``numeric.rank_and_nullspace``.
 """
 
 import math
@@ -21,7 +24,8 @@ import numpy as np
 import pytest
 
 from helpers import bits_equal, random_commuting_collection, random_covering_word
-from matword import conemaps, infinite, numeric, reporting, spectral, structure, words
+from matword import (conemaps, corpus, infinite, numeric, reporting, spectral,
+                     structure, words)
 from matword.collection import MatrixCollection
 from matword.exceptions import BudgetExhausted
 
@@ -470,3 +474,95 @@ def test_collection_analyses_each_matrix_once(monkeypatch):
     assert counts == {"eigendecompose": coll.N, "_refine": 1}
     assert words.global_period(coll).q == q
     assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# common eigenvectors: entry order and the one-column refinement step
+
+
+def full_sort_key(lams, vector, kappa_member):
+    """The complete sort key of a common-eigenvector entry, every part
+    formed up front."""
+    def q(value):
+        return round(value, 6)
+
+    parts = [0 if kappa_member else 1, q(-min(abs(l) for l in lams))]
+    for lam in lams:
+        parts.extend((q(-lam.real), q(-lam.imag)))
+    parts.extend(q(-x) for x in vector.real)
+    parts.extend(q(-x) for x in vector.imag)
+    parts.append(vector.tobytes())
+    return tuple(parts)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_entry_order_matches_the_full_key(seed):
+    """Eigenvalues from a small set force tied heads; vectors that round
+    alike leave only the exact bytes to decide."""
+    rng = np.random.default_rng(seed)
+    values = [1.0, -1.0, 1j, -1j, 0.5, 0.5 + 1e-9]
+    count, N = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+    lams = [[complex(values[k]) for k in rng.integers(0, len(values), size=N)]
+            for _ in range(count)]
+    flags = [bool(rng.integers(0, 2)) for _ in range(count)]
+    base = rng.normal(size=3) + 1j * rng.normal(size=3)
+    vectors = np.array([base + rng.choice([0.0, 1e-12, 1e-3]) * rng.normal(size=3)
+                        for _ in range(count)])
+    heads = [structure._sort_head(l, f) for l, f in zip(lams, flags)]
+    want = sorted(range(count),
+                  key=lambda i: full_sort_key(lams[i], vectors[i], flags[i]))
+    assert structure._entry_order(heads, vectors) == want
+
+
+def test_entry_order_of_the_corpus_matches_the_full_key():
+    entries = corpus.build_corpus()
+    for name in ("example2", "example3", "example5"):
+        system = structure.common_eigenvectors(entries[name].collection)
+        keys = [full_sort_key(row, v, s < system.kappa)
+                for s, (row, v) in enumerate(zip(system.lambda_table, system.vectors))]
+        assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("factor", [0.0, 0.5, 0.999999, 1.000001, 2.0])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_one_column_step_matches_the_rank_decision(factor, dtype):
+    """A one-column candidate survives the next matrix exactly when
+    rank_and_nullspace finds a kernel in its (n+1) x 1 stack."""
+    n, tol = 3, numeric.CLUSTER_TOL
+    first = np.diag([1.0, 2.0, 3.0])
+    A = np.diag([5.0, 6.0, 7.0]).astype(dtype)
+    cut = tol * max(1.0, float(np.max(np.abs(A)))) * n
+    A[1, 0] = factor * cut * (1.0 if dtype is np.float64 else 0.6 + 0.8j)
+    Q = np.eye(n)[:, :1]
+    M, G = structure._compress(A, Q)
+    mu = spectral.realify(M[0, 0], tol)
+    rank, _ = numeric.rank_and_nullspace(np.vstack([M - mu, G]), tol=cut)
+    kept = [lams for basis, lams in
+            structure._refine([first, A], tol, spectral.eigendecompose(first))
+            if lams[0] == 1.0]
+    assert (kept == [[1.0, mu]]) == (rank == 0)
+    assert rank == (factor > 1.0)
+
+
+@pytest.mark.parametrize("tol, gap, svds, dims", [
+    (numeric.CLUSTER_TOL, 0.0, 0, [2, 1]),  # a repeated cluster: its vectors
+    (1e-3, 1e-5, 1, [2, 1]),                # two simple clusters in one group
+    (1e-14, 1e-10, 2, [1, 1, 1]),           # one cluster split into two groups
+], ids=["whole-cluster", "merged", "split"])
+def test_refinement_reuses_only_whole_clusters(monkeypatch, tol, gap, svds, dims):
+    """The first matrix's eigenspaces are its eigenpairs' vectors when a
+    group of near-equal eigenvalues is one whole cluster, and an SVD
+    nullspace when the group merges or splits clusters."""
+    A = np.diag([1.0, 1.0 + gap, 0.5])
+    pairs = spectral.eigendecompose(A)
+    calls = [0]
+    basis = spectral.eigenspace_basis
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return basis(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigenspace_basis", counted)
+    subspaces = structure._refine([A], tol, pairs)
+    assert calls[0] == svds
+    assert [Q.shape[1] for Q, _ in subspaces] == dims

@@ -170,6 +170,22 @@ def test_q2_certificate_budget_exhausted():
         infinite.q2_certificate(coll, tau, x, search_budget=1)
 
 
+@pytest.mark.parametrize("budget", [0, infinite.MAX_BUDGET + 1, 10**12])
+def test_q2_budget_outside_the_cap_raises_before_any_work(monkeypatch, budget):
+    """An explicit budget outside [1, MAX_BUDGET] raises ValueError before
+    any analysis or the letter-count table, which at 10**12 prefixes would
+    be a 14.6 TiB allocation."""
+    def untouched(*args, **kwargs):
+        raise AssertionError("the q2 search started")
+
+    monkeypatch.setattr(infinite, "phi_table", untouched)
+    monkeypatch.setattr(structure, "common_eigenvectors", untouched)
+    tau = infinite.InfiniteWord.periodic((0, 1), N=2)
+    with pytest.raises(ValueError, match=r"must be from 1 to 100000$"):
+        infinite.q2_certificate(ENTRIES["example2"].collection, tau, np.ones(6),
+                                search_budget=budget)
+
+
 @pytest.mark.parametrize("shift", [2.0, np.nan], ids=["twice-the-scale", "nan"])
 def test_q2_cross_check_rejects_a_moved_tuple(monkeypatch, tmp_path, shift):
     """Equal keys whose float class tuples differ by more than the

@@ -119,3 +119,15 @@ def test_nullspace_invariants_random():
             assert np.max(np.abs(basis.conj().T @ basis - np.eye(basis.shape[1]))) <= 1e-12
             tol = numeric.default_rank_tol(np.linalg.svd(M, compute_uv=False), n)
             assert np.max(np.abs(M @ basis)) <= 10 * max(tol, 1e-13)
+
+
+def test_first_negative_entry_verdicts():
+    """NaN is not negative and neither is -0.0; the first negative entry
+    in row-major order is reported."""
+    nan = np.nan
+    assert numeric.first_negative_entry(np.array([[1.0, nan], [0.0, 2.0]])) is None
+    assert numeric.first_negative_entry(np.array([[nan, -0.0], [-1e-300, -2.0]])) == (1, 0)
+    assert numeric.first_negative_entry(np.array([[0.0, -3.0], [-1.0, nan]])) == (0, 1)
+    assert numeric.first_negative_entry(np.zeros((0, 0))) is None
+    assert numeric.is_nonnegative([[nan, 0.0]])
+    assert not numeric.is_nonnegative([[1, -1]])

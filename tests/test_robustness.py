@@ -95,7 +95,7 @@ def test_lc_membership_near_1e300_prints_nothing():
 
 def _finite_only(name, fn):
     def wrapper(*args, **kwargs):
-        for arg in args[:2]:  # svd(a), eigvals(a), lstsq(a, b)
+        for arg in args[:2]:  # svd(a), eig(a), eigvals(a), lstsq(a, b)
             assert np.isfinite(arg).all(), f"non-finite argument to np.linalg.{name}"
         return fn(*args, **kwargs)
 
@@ -105,7 +105,7 @@ def _finite_only(name, fn):
 @pytest.fixture(scope="module")
 def finite_lapack():
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("svd", "eigvals", "lstsq"):
+        for name in ("svd", "eig", "eigvals", "lstsq"):
             mp.setattr(np.linalg, name, _finite_only(name, getattr(np.linalg, name)))
         yield
 

@@ -198,3 +198,70 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _count_svds(monkeypatch):
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_simple_clusters_take_eigs_column(monkeypatch):
+    """A simple spectrum costs one eig and no SVD, and each pair's vector
+    is eig's column canonicalised, bit for bit."""
+    calls = _count_svds(monkeypatch)
+    rng = np.random.default_rng(45)
+    for n in (1, 2, 5, 9):
+        A = rng.uniform(size=(n, n))
+        pairs = spectral.eigendecompose(A)
+        vals, vecs = np.linalg.eig(A)
+        assert len(pairs) == n
+        for p in pairs:
+            assert (p.algebraic, p.geometric) == (1, 1)
+            j = int(np.argmin(np.abs(vals - p.eigenvalue)))
+            assert same_bytes(p.eigenvector, spectral.canonical_phase(vecs[:, j]))
+        assert len({p.cluster for p in pairs}) == n
+    assert calls[0] == 0
+
+
+def test_repeated_clusters_keep_the_rank_decision(monkeypatch):
+    """Repeated clusters still take an SVD nullspace: a Jordan block stays
+    defective and the identity keeps geometric multiplicity n."""
+    calls = _count_svds(monkeypatch)
+    pairs = spectral.eigendecompose(np.array([[1.0, 1.0, 0.0],
+                                              [0.0, 1.0, 0.0],
+                                              [0.0, 0.0, 0.5]]))
+    assert [(p.algebraic, p.geometric, p.defective) for p in pairs] == [
+        (2, 1, True), (1, 1, False)]
+    assert calls[0] == 1
+    pairs = spectral.eigendecompose(np.eye(4))
+    assert [(p.algebraic, p.geometric, p.cluster) for p in pairs] == [(4, 4, 0)] * 4
+    np.testing.assert_allclose(np.column_stack([p.eigenvector for p in pairs]).conj().T
+                               @ np.column_stack([p.eigenvector for p in pairs]),
+                               np.eye(4), atol=1e-15)
+    assert calls[0] == 2
+
+
+def test_conjugate_eigenpairs_are_literal_conjugates():
+    """Equal values entry by entry; both pivots carry a +0 imaginary part."""
+    rng = np.random.default_rng(46)
+    seen = 0
+    for _ in range(25):
+        pairs = spectral.eigendecompose(rng.uniform(size=(6, 6)))
+        for p, q in zip(pairs, pairs[1:]):
+            if p.eigenvalue.imag > 0:
+                assert q.eigenvalue == p.eigenvalue.conjugate()
+                assert np.array_equal(q.eigenvector, np.conj(p.eigenvector))
+                seen += 1
+    assert seen >= 25
+

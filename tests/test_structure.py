@@ -357,4 +357,4 @@ def test_analysis_sweep_is_pinned():
 
     verdict, bits = digests(list(outcomes()))
     assert verdict == "31d4f1bd81228ee62b525afa4bf19869ffaccd92450a8f3f3798346fa4cf6195"
-    assert bits == "88da3bfb6ec1f66640762ae94b18f2235842fda46b404371838d8399181cf81a"
+    assert bits == "c95fff911f00ab5370a98413d5969dc451db13f62969e5b8d9321ce609247fc9"
