@@ -333,14 +333,13 @@ def common_eigenvectors(collection, tol=numeric.CLUSTER_TOL):
 
 def _common_eigenvectors(collection, tol):
     subspaces = _refine(collection.matrices, tol, collection._eigenpairs(0))
-    N = collection.N
     V = spectral.canonical_phases(
         np.hstack([Q for Q, _ in subspaces]) if subspaces
         else np.zeros((collection.n, 0)))
 
     # Rayleigh quotients and residuals of every candidate column at once;
     # a column is kept when every matrix maps it within tolerance
-    table = np.empty((V.shape[1], N), dtype=np.complex128)
+    table = np.empty((V.shape[1], collection.N), dtype=np.complex128)
     ok = np.ones(V.shape[1], dtype=bool)
     for r, M in enumerate(collection.matrices):
         image = numeric.mat_mul(M.astype(np.complex128), V)
@@ -355,7 +354,7 @@ def _common_eigenvectors(collection, tol):
     order = _entry_order(
         [_sort_head(row, flag) for row, flag in zip(table, kappa_flags)], candidates)
     vectors = [candidates[i] for i in order]
-    table = table[order].reshape(len(order), N)
+    table = table[order]
     kappa = int(kappa_flags.sum())
 
     # literal conjugate pairs; enforce exact conjugacy on the second member
