@@ -44,7 +44,7 @@ from .infinite import (
     q2_certificate,
     tuple_first_component_stability,
 )
-from .numeric import mat_mul, mat_vec, operator_norm, rank_and_nullspace
+from .numeric import mat_mul, mat_vec, rank_and_nullspace
 from .spectral import (
     EigenPair,
     PeripheralReport,
@@ -111,7 +111,6 @@ __all__ = [
     "log_map",
     "mat_mul",
     "mat_vec",
-    "operator_norm",
     "orbit_bounded",
     "peripheral_period",
     "phi",

@@ -77,12 +77,16 @@ class MatrixCollection:
             value = self._memo[key] = compute()
             return value
 
+    def _spectrum(self, index):
+        """The memoised :func:`~matword.spectral._eig` of a letter's matrix."""
+        return self._memoised(("eig", index), lambda: spectral._eig(
+            self.matrices[index], vectors=True))
+
     def _eigenpairs(self, index):
         """:func:`~matword.spectral.eigendecompose` of the matrix at a
-        0-based letter index, as a tuple."""
-        return self._memoised(
-            ("eigendecompose", index),
-            lambda: tuple(spectral.eigendecompose(self.matrices[index])))
+        0-based letter index, as a tuple, from its :meth:`_spectrum`."""
+        return self._memoised(("eigendecompose", index), lambda: tuple(
+            spectral._pairs(self.matrices[index], *self._spectrum(index))))
 
     def letter_index(self, letter):
         if isinstance(letter, str):

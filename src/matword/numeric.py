@@ -157,15 +157,6 @@ def column_norms(V):
     return np.hypot.reduce(np.abs(V), axis=0, initial=0.0)
 
 
-def operator_norm(A):
-    """Largest singular value (operator norm induced by the 2-norm)."""
-    A = require_square(np.asarray(A))
-    require_finite(A)
-    if A.size == 0:
-        return 0.0
-    return float(np.linalg.svd(A, compute_uv=False)[0])
-
-
 def default_rank_tol(singular_values, n):
     """Standard rank-revealing threshold ``n * sigma_max * eps``."""
     smax = singular_values[0] if len(singular_values) else 0.0

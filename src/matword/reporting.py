@@ -37,12 +37,19 @@ class ToleranceSettings:
         }
 
 
+def _integer(value):
+    """``int(value)``, refusing a bool and a number with a fractional part."""
+    if isinstance(value, bool) or int(value) != float(value):
+        raise ValueError(repr(value))
+    return int(value)
+
+
 def parse_collection_document(document):
     """CollectionSpec (parsed JSON) -> (MatrixCollection, options dict)."""
     if not isinstance(document, dict):
         raise ParseError("input document must be a JSON object")
     try:
-        dimension = int(document["dimension"])
+        dimension = _integer(document["dimension"])
         matrices = document["matrices"]
     except KeyError as exc:
         raise ParseError(f"input document missing field {exc}") from exc
@@ -108,7 +115,7 @@ def settings_from_options(options, overrides=None):
     base = ToleranceSettings()
     return ToleranceSettings(**{
         key: _option(merged, key, getattr(base, key),
-                     int if key == "max_iter" else float)
+                     _integer if key == "max_iter" else float)
         for key in base.as_dict()
     })
 
@@ -136,8 +143,8 @@ def validate(collection, settings=None):
                     numeric.mat_mul(collection.matrices[s], collection.matrices[r]),
                     what=f"the product of the two-letter word {word}")
     per_matrix = []
-    for name, M in zip(collection.names, collection.matrices):
-        rho = spectral.spectral_radius(M)
+    for index, (name, M) in enumerate(zip(collection.names, collection.matrices)):
+        rho = spectral._radius(collection._spectrum(index)[0])
         per_matrix.append({
             "name": name,
             "nonnegative": numeric.is_nonnegative(M),

@@ -5,14 +5,13 @@ per-matrix period q_r (the lcm of the peripheral orders when the spectral
 radius is one), and the index of imprimitivity of an irreducible nonnegative
 matrix.
 
-The eigen-engine is LAPACK via ``numpy.linalg``: one ``eig`` per
-decomposed matrix, whose eigenvectors serve every simple eigenvalue, and an
-SVD nullspace only for a repeated eigenvalue cluster, where the geometric
-multiplicity is a rank decision.  The value this module adds is
-deterministic ordering, phase canonicalisation (array work over all
-eigenvectors at once), eigenvalue clustering and defectiveness detection,
-so that downstream consumers see a stable, conjugation-closed
-decomposition.
+The eigen-engine is LAPACK via ``numpy.linalg``: one ``eig`` per matrix
+(memoised per letter by a collection) gives the spectral radius and the
+eigenvectors of every simple eigenvalue; an SVD nullspace serves only a
+repeated eigenvalue cluster, where the geometric multiplicity is a rank
+decision.  The value this module adds is deterministic ordering, phase
+canonicalisation, eigenvalue clustering and defectiveness detection, so
+that downstream consumers see a stable, conjugation-closed decomposition.
 """
 
 import math
@@ -168,7 +167,7 @@ def _cluster_basis(A, mu, tol, scale):
 
 def eigendecompose(A):
     """Eigen decomposition with clustering, canonical phases and
-    defectiveness flags, from one LAPACK ``eig`` call.
+    defectiveness flags: :func:`_pairs` of one LAPACK ``eig`` (:func:`_eig`).
 
     Returns a list of :class:`EigenPair`.  For a diagonalizable matrix the
     list has ``n`` entries; a defective eigenvalue cluster contributes only
@@ -182,12 +181,14 @@ def eigendecompose(A):
     Complex pairs appear adjacently (positive imaginary part first), and the
     output is a deterministic function of the input bytes.
     """
+    return _pairs(A, *_eig(A, vectors=True))
+
+
+def _pairs(A, vals, vecs):
+    """:func:`eigendecompose` of A from its :func:`_eig` output."""
     A = _as_matrix(A)
-    n = A.shape[0]
-    vals, vecs = _eig(A, vectors=True)
-    rho = float(np.max(np.abs(vals))) if n else 0.0
-    cluster_tol = numeric.CLUSTER_TOL * max(1.0, rho)
-    norm_scale = max(1.0, float(np.max(np.abs(A))) * n)
+    cluster_tol = numeric.CLUSTER_TOL * max(1.0, _radius(vals))
+    norm_scale = max(1.0, float(np.max(np.abs(A))) * A.shape[0])
 
     columns = []
     fields = []
@@ -217,12 +218,14 @@ def eigendecompose(A):
     return pairs
 
 
+def _radius(vals):
+    """max |lambda| over the eigenvalues ``vals``; 0 for an empty matrix."""
+    return float(np.max(np.abs(vals), initial=0.0))
+
+
 def spectral_radius(A):
     """max |lambda| over the spectrum."""
-    vals = eigenvalues(A)
-    if vals.size == 0:
-        return 0.0
-    return float(np.max(np.abs(vals)))
+    return _radius(eigenvalues(A))
 
 
 def root_of_unity_order(value, max_order, tol=numeric.ORDER_TOL):
@@ -264,13 +267,13 @@ def peripheral_period(A, rho_tol=numeric.CLUSTER_TOL):
     """
     A = numeric.require_nonnegative(
         numeric.require_square(np.asarray(A, dtype=np.float64)))
-    return _peripheral_report(eigendecompose(A), A.shape[0], rho_tol)
+    vals, vecs = _eig(A, vectors=True)
+    return _peripheral_report(_pairs(A, vals, vecs), _radius(vals), A.shape[0], rho_tol)
 
 
-def _peripheral_report(pairs, n, rho_tol):
+def _peripheral_report(pairs, rho, n, rho_tol):
     """:func:`peripheral_period` from the :func:`eigendecompose` pairs of
-    a nonnegative n x n matrix."""
-    rho = max((abs(p.eigenvalue) for p in pairs), default=0.0)
+    a nonnegative n x n matrix and its radius ``rho``, from one ``eig``."""
     scale = numeric.CLUSTER_TOL * max(1.0, rho)
     peripheral = tuple(p for p in pairs if abs(abs(p.eigenvalue) - rho) <= scale)
     if abs(rho - 1.0) <= rho_tol:
@@ -286,10 +289,9 @@ def _peripheral_report(pairs, n, rho_tol):
             orders.append(d)
         q_r = math.lcm(*orders) if orders else 1
         return PeripheralReport(rho, peripheral, tuple(orders), q_r)
-    if rho < 1.0:
-        # strictly subcritical: all orbits contract to 0, a fixed point
-        return PeripheralReport(rho, peripheral, (None,) * len(peripheral), 1)
-    return PeripheralReport(rho, peripheral, (None,) * len(peripheral), None)
+    # q_r = 1 when strictly subcritical: every orbit contracts to the fixed point 0
+    return PeripheralReport(rho, peripheral, (None,) * len(peripheral),
+                            1 if rho < 1.0 else None)
 
 
 def is_irreducible(A):
@@ -319,6 +321,6 @@ def index_of_imprimitivity(A):
     if not is_irreducible(A):
         raise Reducible("pattern digraph is not strongly connected")
     vals = eigenvalues(A)
-    rho = float(np.max(np.abs(vals)))
+    rho = _radius(vals)
     band = numeric.CLUSTER_TOL * max(1.0, rho)
     return int(np.sum(np.abs(np.abs(vals) - rho) <= band))

@@ -166,11 +166,7 @@ class CommonEigenSystem:
 
     @property
     def paired_indices(self):
-        out = set()
-        for s1, s2 in self.s2_pairs:
-            out.add(s1)
-            out.add(s2)
-        return out
+        return {s for pair in self.s2_pairs for s in pair}
 
     def basis_matrix(self):
         """n x d matrix with the common eigenvectors as columns."""
@@ -344,7 +340,7 @@ def _common_eigenvectors(collection, tol):
     for r, M in enumerate(collection.matrices):
         image = numeric.mat_mul(M.astype(np.complex128), V)
         table[:, r] = lams = spectral.realify_all(numeric.column_dots(V, image), tol)
-        bound = numeric.SLACK * tol * max(1.0, numeric.operator_norm(M))
+        bound = numeric.SLACK * tol * max(1.0, numeric.vector_norm(M.ravel()))
         ok &= numeric.column_norms(image - V * lams) <= bound
     kept = np.flatnonzero(ok)
     table = table[kept]
@@ -405,8 +401,7 @@ def lc_membership(x, system, tol=None):
     """
     if system.d == 0:
         raise ValueError("common eigensystem is empty")
-    if tol is None:
-        tol = system.tol
+    tol = system.tol if tol is None else tol
     x = numeric.require_finite(np.asarray(x, dtype=np.float64), what="vector")
     V = numeric.require_finite(system.basis_matrix())
     alphas, *_ = np.linalg.lstsq(V, x.astype(np.complex128), rcond=None)

@@ -99,8 +99,9 @@ def _global_period(collection, letters, rho_tol):
     for l in letters:
         index = collection.letter_index(l)
         numeric.require_nonnegative(collection.matrices[index])
-        report = spectral._peripheral_report(collection._eigenpairs(index),
-                                             collection.n, rho_tol)
+        report = spectral._peripheral_report(
+            collection._eigenpairs(index),
+            spectral._radius(collection._spectrum(index)[0]), collection.n, rho_tol)
         if report.q_r is None:
             raise SpectralRadiusViolation(
                 f"rho({collection.names[index]}) = {report.rho} exceeds 1 + {rho_tol}"

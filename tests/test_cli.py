@@ -187,7 +187,22 @@ def test_q2_honours_rho_tol(tmp_path):
     code, fragment = q2("--x", "1,0.5", "--force")
     assert code == 4
     assert fragment["error"] == (
-        "SpectralRadiusViolation: rho(A) = 1.0000000500000001 exceeds 1 + 1e-08")
+        "SpectralRadiusViolation: rho(A) = 1.00000005 exceeds 1 + 1e-08")
+
+
+def test_one_rho_per_letter_in_one_report(tmp_path):
+    """Validation's rho and the period's rho of a letter come from its one
+    eig, so the report prints one value for both."""
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"dimension": 2, "matrices": {
+        "A": [[0, 1.00000005], [1.00000005, 0]], "B": [[1, 0], [0, 1]]}}))
+    code, out, _ = run_cli(["q2", str(path), "--tau", "periodic:AB", "--x", "1,0.5",
+                            "--force", "--format", "machine"])
+    assert code == 4
+    report = json.loads(out)
+    rho = report["validation"]["per_matrix"][0]["rho"]
+    assert report["queries"][0]["error"] == (
+        f"SpectralRadiusViolation: rho(A) = {rho!r} exceeds 1 + 1e-08")
 
 
 @pytest.mark.parametrize("budget, code", [

@@ -10,24 +10,32 @@ products looped one at a time,
 per-letter count tables, one letter map at a time, and the
 fixed-point loop written with the numpy reductions.  A collection's
 shared spectral results are checked against the same calls on fresh
-collections.  The common eigenvectors' order, which forms the vector
+collections, and a request's LAPACK calls are counted by wrapping
+``np.linalg``.  The common eigenvectors' order, which forms the vector
 part of its sort key only for tied eigenvalue parts, is checked against
 the full key, and the one-column refinement step against the rank
 decision of ``numeric.rank_and_nullspace``.
 """
 
+import io
+import json
 import math
 import pathlib
 import pickle
+import sys
 
 import numpy as np
 import pytest
 
+import test_golden
 from helpers import bits_equal, random_commuting_collection, random_covering_word
-from matword import (conemaps, corpus, infinite, numeric, reporting, spectral,
+from matword import (cli, conemaps, corpus, infinite, numeric, reporting, spectral,
                      structure, words)
 from matword.collection import MatrixCollection
 from matword.exceptions import BudgetExhausted
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +442,34 @@ def test_fixed_point_loop_matches_reduction_loop(name):
 # spectral results shared by a collection
 
 
+def lapack_calls(monkeypatch):
+    """The arguments of every later ``np.linalg`` eig, eigvals and svd
+    call, by name: LAPACK work counted where it runs, not at a seam."""
+    calls = {"eig": [], "eigvals": [], "svd": []}
+
+    def recorded(name, original):
+        def wrapper(a, *args, **kwargs):
+            calls[name].append(np.array(a))
+            return original(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
+    return calls
+
+
+def letter_matrices(calls, coll):
+    """The arguments in ``calls`` that are letters of ``coll``."""
+    return [M for M in calls
+            if any(M.shape == A.shape and np.array_equal(M, A) for A in coll.matrices)]
+
+
 def test_collection_analyses_each_matrix_once(monkeypatch):
-    """A slow-mixing request's calls share one eigendecomposition per
-    matrix and one common-eigenvector refinement, and each result is bit
-    for bit the same call's result on a fresh collection."""
-    path = pathlib.Path(__file__).parent / "golden" / "slow-mixing.json"
+    """A slow-mixing request's calls share one LAPACK eig per matrix and
+    one common-eigenvector refinement, and each result is bit for bit the
+    same call's result on a fresh collection."""
+    path = test_golden.GOLDEN / "slow-mixing.json"
 
     def fresh():
         return reporting.load_collection(path)[0]
@@ -456,7 +487,7 @@ def test_collection_analyses_each_matrix_once(monkeypatch):
     }
     expected = {name: pickle.dumps(call(fresh())) for name, call in calls.items()}
 
-    counts = {"eigendecompose": 0, "_refine": 0}
+    counts = {"_refine": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -467,13 +498,51 @@ def test_collection_analyses_each_matrix_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(spectral, "eigendecompose")
     counted(structure, "_refine")
+    lapack = lapack_calls(monkeypatch)
     coll = fresh()
     got = {name: pickle.dumps(call(coll)) for name, call in calls.items()}
-    assert counts == {"eigendecompose": coll.N, "_refine": 1}
+    assert counts == {"_refine": 1}
+    assert len(letter_matrices(lapack["eig"], coll)) == len(lapack["eig"]) == coll.N
     assert words.global_period(coll).q == q
     assert got == expected
+
+
+def test_slow_mixing_request_decomposes_each_letter_once(monkeypatch):
+    """The slow-mixing golden request (validation, limit, period,
+    cone-limit and q2) makes one eig per letter, which validation's radii
+    share, no eigvals of a letter, and 6 SVDs, where one separate eigvals
+    per letter and an SVD per letter for the common-eigenvector residual
+    scale made 2 eig, 5 eigvals and 8 SVDs."""
+    coll = reporting.load_collection(test_golden.GOLDEN / "slow-mixing.json")[0]
+    lapack = lapack_calls(monkeypatch)
+    code, _ = test_golden._analyze_slow_mixing()
+    assert code == 0
+    assert len(letter_matrices(lapack["eig"], coll)) == len(lapack["eig"]) == coll.N
+    assert letter_matrices(lapack["eigvals"], coll) == []
+    assert len(lapack["svd"]) <= 6
+
+
+def test_classify_and_eigensystem_decompose_each_letter_once(monkeypatch, tmp_path):
+    """``analyze --query classify --query eigensystem`` on a generic pair
+    at n = 8 makes one eig per letter; eigvals runs only for the products
+    of validation's two two-letter words, and 2 SVDs remain (1 eig,
+    4 eigvals and 4 SVDs before validation shared the letters' eig)."""
+    family = gen.generic_pair(np.random.default_rng(8), 8)
+    coll = MatrixCollection(names=("A", "B"), matrices=tuple(family.matrices))
+    path = tmp_path / "generic.json"
+    path.write_text(json.dumps({"dimension": coll.n, "matrices": {
+        name: M.tolist() for name, M in zip(coll.names, coll.matrices)}}))
+    A, B = coll.matrices
+    lapack = lapack_calls(monkeypatch)
+    code = cli.main(["analyze", str(path), "--force", "--query", "classify",
+                     "--query", "eigensystem", "--format", "machine"],
+                    stdout=io.StringIO(), stderr=io.StringIO())
+    assert code == 0
+    assert len(letter_matrices(lapack["eig"], coll)) == len(lapack["eig"]) == 2
+    assert [M.tobytes() for M in lapack["eigvals"]] == [
+        numeric.mat_mul(B, A).tobytes(), numeric.mat_mul(A, B).tobytes()]
+    assert len(lapack["svd"]) <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -70,20 +70,6 @@ def test_mat_mul_deterministic():
     assert first.tobytes() == second.tobytes()
 
 
-def test_operator_norm_examples():
-    assert numeric.operator_norm(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
-    assert numeric.operator_norm(J2) == pytest.approx(1.0, abs=1e-12)
-    assert numeric.operator_norm(np.diag([0.5, 1 / 3])) == pytest.approx(0.5, rel=1e-10)
-
-
-def test_operator_norm_of_permutations():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        n = int(rng.integers(2, 9))
-        P = np.eye(n)[rng.permutation(n)]
-        assert numeric.operator_norm(P) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_rank_and_nullspace_zero_matrix():
     rank, basis = numeric.rank_and_nullspace(np.zeros((3, 3)))
     assert rank == 0

@@ -1,7 +1,10 @@
 """The tolerance policy lives in ``numeric``: no other module writes a
-small threshold literal, and the report defaults read the named values."""
+small threshold literal, and the report defaults read the named values.
+Each LAPACK factorisation runs at one documented site, and every function
+the benchmark's tracer patches by name exists."""
 
 import ast
+import importlib.util
 import pathlib
 
 from matword import numeric, reporting
@@ -58,3 +61,51 @@ def test_tolerance_settings_default_to_the_named_policy():
         "max_iter": numeric.MAX_ITER,
         "bound": numeric.BOUND,
     }
+
+
+#: the one site of each LAPACK factorisation: (file, function, name)
+LAPACK_SITES = {
+    ("numeric.py", "rank_and_nullspace", "svd"),
+    ("spectral.py", "_eig", "eig"),
+    ("spectral.py", "_eig", "eigvals"),
+    ("structure.py", "lc_membership", "lstsq"),
+}
+LAPACK = {"svd", "eig", "eigvals", "eigh", "eigvalsh", "lstsq", "qr", "cholesky",
+          "solve", "inv", "pinv", "matrix_rank", "det", "slogdet", "cond"}
+
+
+def lapack_calls():
+    """``(file, enclosing top-level function, name)`` for every
+    ``linalg.<factorisation>`` reference, and ``(file, None, module)`` for
+    an import from ``numpy.linalg``."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in ast.iter_child_nodes(tree):
+            owner = top.name if isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in LAPACK
+                        and ast.unparse(node.value).endswith("linalg")):
+                    found.add((path.name, owner, node.attr))
+                elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+                    found.add((path.name, None, node.module))
+    return found
+
+
+def test_lapack_factorisations_run_only_at_their_sites():
+    assert lapack_calls() == LAPACK_SITES
+
+
+def test_traced_benchmark_layers_resolve():
+    """Every function the benchmark's tracer patches by name exists, so a
+    rename in the package cannot silently break ``perfbench/run.py --trace``."""
+    path = SRC.parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    targets = [entry[:2] for entry in layers.SPANNED + layers.COUNTED]
+    assert targets
+    missing = [f"{module}.{attr}" for module, attr in targets
+               if not callable(getattr(importlib.import_module(f"matword.{module}"),
+                                       attr, None))]
+    assert missing == []

@@ -77,9 +77,3 @@ def test_cone_scaling_law(A, x, lam):
 def test_cone_map_fixes_ones(A):
     np.testing.assert_allclose(conemaps.cone_apply(A, np.ones(4)), np.ones(4),
                                atol=1e-13)
-
-
-@given(st.permutations(list(range(5))))
-def test_permutation_operator_norm(perm):
-    P = np.eye(5)[list(perm)]
-    assert abs(numeric.operator_norm(P) - 1.0) <= 1e-12

@@ -126,6 +126,31 @@ def run_main(argv, document):
     return code, err.getvalue()
 
 
+#: integer fields of the input document given as a fraction or a bool: the
+#: first ran as a 2 x 2 document, the second as 1 x 1, the third with
+#: max_iter 2, although ``--max-iter 2.7`` exits 2
+SWAP = {"A": [[0, 1], [1, 0]], "B": [[1, 0], [0, 1]]}
+NON_INTEGER_DOCUMENTS = {
+    "dimension-fraction": {"dimension": 2.7, "matrices": SWAP},
+    "dimension-bool": {"dimension": True, "matrices": {"A": [[1]]}},
+    "max-iter-fraction": {"dimension": 2, "matrices": SWAP,
+                          "options": {"max_iter": 2.7}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_DOCUMENTS))
+def test_non_integer_field_exits_2(name):
+    code, err = run_main(["validate", "-"], json.dumps(NON_INTEGER_DOCUMENTS[name]))
+    assert code == 2 and err.startswith("input error:"), err
+
+
+@pytest.mark.parametrize("value", [2, 2.0, "2"])
+def test_integral_fields_are_accepted(value):
+    document = {"dimension": value, "matrices": SWAP, "options": {"max_iter": value}}
+    code, err = run_main(["validate", "-"], json.dumps(document))
+    assert code == 0, err
+
+
 EXTREME_ENTRIES = st.sampled_from(["1e300", "1e-300", "0.999999999", 0, 1])
 VECTOR_ENTRIES = st.sampled_from(["1", "0", "-1", "1e-300", "1e300", "1/3"])
 
