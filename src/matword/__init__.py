@@ -65,7 +65,6 @@ from .structure import (
     is_quasi_commuting,
     lc_membership,
     shemesh_subspace,
-    simultaneous_triangularization,
 )
 from .words import (
     LimitResult,
@@ -76,7 +75,6 @@ from .words import (
     limit_point,
     orbit_bounded,
     point_period,
-    skew_product_step,
     spectral_limit,
     word_period,
     word_product,
@@ -84,47 +82,31 @@ from .words import (
 
 
 __all__ = [
+    # collection
     "MatrixCollection",
-    "Word",
-    "InfiniteWord",
-    "ConeMap",
-    "CommonEigenSystem",
-    "EigenPair",
-    "LimitResult",
-    "Q2Certificate",
-    "a_tilde",
-    "classify_pair",
-    "common_eigenvectors",
-    "commutator",
-    "cone_apply",
-    "cone_limit",
-    "cone_point_period",
-    "eigendecompose",
-    "eigenvalues",
-    "exp_map",
-    "global_period",
-    "homogeneity_report",
-    "index_of_imprimitivity",
-    "is_quasi_commuting",
-    "lc_membership",
-    "limit_point",
-    "log_map",
-    "mat_mul",
-    "mat_vec",
-    "orbit_bounded",
-    "peripheral_period",
-    "phi",
-    "point_period",
-    "q2_certificate",
-    "rank_and_nullspace",
-    "root_of_unity_order",
-    "shemesh_subspace",
-    "simultaneous_triangularization",
-    "skew_product_step",
-    "spectral_limit",
+    # conemaps
+    "ConeMap", "cone_apply", "cone_limit", "cone_point_period", "exp_map",
+    "homogeneity_report", "log_map", "word_cone_apply",
+    # exceptions
+    "BoundaryPoint", "BudgetExhausted", "DimensionMismatch", "EigenSolverFailure",
+    "HypothesesNotMet", "InvalidLetter", "MatwordError", "NonFiniteValue",
+    "NotPeriodic", "NotRootOfUnity", "ParseError", "Reducible",
+    "SpectralRadiusViolation",
+    # infinite
+    "InfiniteWord", "OrbitTuple", "Q2Certificate", "a_tilde", "phi",
+    "q2_certificate", "tuple_first_component_stability",
+    # numeric
+    "mat_mul", "mat_vec", "rank_and_nullspace",
+    # spectral
+    "EigenPair", "PeripheralReport", "eigendecompose", "eigenvalues",
+    "index_of_imprimitivity", "peripheral_period", "root_of_unity_order",
     "spectral_radius",
-    "tuple_first_component_stability",
-    "word_cone_apply",
-    "word_period",
+    # structure
+    "CommonEigenSystem", "LCCoefficients", "PairClassification", "classify_pair",
+    "common_eigenvectors", "commutator", "is_quasi_commuting", "lc_membership",
+    "shemesh_subspace",
+    # words
+    "LimitResult", "OrbitBoundReport", "PeriodCertificate", "Word", "global_period",
+    "limit_point", "orbit_bounded", "point_period", "spectral_limit", "word_period",
     "word_product",
 ]

@@ -54,8 +54,7 @@ class ConeMap:
         return self.matrix.sum(axis=1)
 
     def apply(self, y):
-        value, _ = self.apply_detailed(y)
-        return value
+        return self.apply_detailed(y)[0]
 
     def apply_detailed(self, y):
         """Evaluate f(y); returns ``(value, underflow_mask)``.
@@ -72,16 +71,14 @@ class ConeMap:
             raise ValueError(f"coordinate {idx} = {y[idx]} is negative")
         if np.all(y > 0):
             return _log_domain(self.matrix, y)
-        value, underflow = self._monomial(y)
-        return value, underflow
+        return self._monomial(y)
 
     def monomial_apply(self, y):
         """The product form directly; cross-check path for the interior."""
         y = np.asarray(y, dtype=np.float64)
         if np.any(y < 0):
             raise ValueError("monomial form is defined on the nonnegative orthant")
-        value, _ = self._monomial(y)
-        return value
+        return self._monomial(y)[0]
 
     def _monomial(self, y):
         n = self.matrix.shape[0]
@@ -124,11 +121,14 @@ def cone_apply(matrix, y):
 
 def word_cone_apply(collection, word, y):
     """f_w(y): apply the letter maps f_{w_1}, f_{w_2}, ... in word order."""
+    return _word_map(collection, word)(np.asarray(y, dtype=np.float64))
+
+
+def _word_map(collection, word):
+    """f_w as a :func:`_block_map`, with a map built once for each of the
+    word's own letters."""
     word.validate(collection)
-    out = np.asarray(y, dtype=np.float64)
-    for letter in word.letters:
-        out = ConeMap(collection.matrices[letter]).apply(out)
-    return out
+    return _block_map({l: ConeMap(collection.matrices[l]) for l in word.letters}, word, 1)
 
 
 def _block_map(maps, word, q):
@@ -237,8 +237,7 @@ def cone_point_period(collection, word, eta, q, tol=numeric.TUPLE_TOL):
     """Smallest divisor d of q with f_w^d(eta) = eta (relative sup norm)."""
     eta = np.asarray(eta, dtype=np.float64)
     atol = tol * (1.0 + float(np.max(np.abs(eta))))
-    return words.first_period(lambda z: word_cone_apply(collection, word, z),
-                              eta, q, atol)
+    return words.first_period(_word_map(collection, word), eta, q, atol)
 
 
 @dataclass(frozen=True)

@@ -52,16 +52,14 @@ class InfiniteWord:
     """An infinite letter sequence over {0, ..., N-1}.
 
     Backed either by an eventually-periodic description (preperiod +
-    cycle) or by a seeded pseudo-random stream; ``offset`` implements the
-    shift map without copying.  ``m`` is the first p by which all N
-    letters of the collection have appeared.
+    cycle) or by a seeded pseudo-random stream.  ``m`` is the first p by
+    which all N letters of the collection have appeared.
     """
 
     N: int
     preperiod: tuple = ()
     cycle: tuple = ()
     stream: _SeededStream | None = None
-    offset: int = 0
 
     def __post_init__(self):
         if self.stream is None and len(self.cycle) == 0:
@@ -86,7 +84,7 @@ class InfiniteWord:
 
     def letter(self, i):
         """0-based letter access (tau_1 is letter(0))."""
-        i = int(i) + self.offset
+        i = int(i)
         if self.stream is not None:
             return self.stream.letter(i)
         if i < len(self.preperiod):
@@ -96,7 +94,7 @@ class InfiniteWord:
     def letters(self, start, count):
         """Letters ``start .. start + count - 1`` as an int64 array: the
         bulk form of :meth:`letter`."""
-        first, count = int(start) + self.offset, int(count)
+        first, count = int(start), int(count)
         if self.stream is not None:
             return self.stream.letters(first, count)
         i = np.arange(first, first + count)
@@ -105,15 +103,6 @@ class InfiniteWord:
         head = i < pre
         out[head] = np.array(self.preperiod, dtype=np.int64)[i[head]]
         return out
-
-    def shift(self, k=1):
-        return InfiniteWord(
-            N=self.N,
-            preperiod=self.preperiod,
-            cycle=self.cycle,
-            stream=self.stream,
-            offset=self.offset + int(k),
-        )
 
     def prefix(self, p):
         """The finite word of the first p letters."""
@@ -138,12 +127,10 @@ class InfiniteWord:
 
     def description(self):
         if self.stream is not None:
-            base = f"seed:{self.stream.seed}"
-        else:
-            pre = "".join(str(l) for l in self.preperiod)
-            cyc = "".join(str(l) for l in self.cycle)
-            base = f"periodic:{pre}|{cyc}" if pre else f"periodic:{cyc}"
-        return base if self.offset == 0 else f"{base}+{self.offset}"
+            return f"seed:{self.stream.seed}"
+        pre = "".join(str(l) for l in self.preperiod)
+        cyc = "".join(str(l) for l in self.cycle)
+        return f"periodic:{pre}|{cyc}" if pre else f"periodic:{cyc}"
 
 
 def phi(tau, p):

@@ -81,15 +81,19 @@ def parse_collection_document(document):
 
 
 def load_collection(path_or_stream):
-    if hasattr(path_or_stream, "read"):
-        text = path_or_stream.read()
-    else:
-        with open(path_or_stream, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
+        if hasattr(path_or_stream, "read"):
+            text = path_or_stream.read()
+        else:
+            with open(path_or_stream, "r", encoding="utf-8") as fh:
+                text = fh.read()
         document = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"input is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("input JSON is nested too deeply") from None
     return parse_collection_document(document)
 
 

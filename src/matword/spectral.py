@@ -47,19 +47,14 @@ class EigenPair:
         return self.geometric < self.algebraic
 
 
-def canonical_phase(v):
-    """Scale a vector to unit norm with its pivot entry real and positive.
-
-    The pivot is the first entry whose modulus is within a small relative
-    slack of the maximum; the slack makes the choice stable under rounding
-    noise, so conjugate vectors pick the same pivot and canonicalise to
-    literal conjugates of each other."""
-    return canonical_phases(np.reshape(v, (-1, 1)))[:, 0]
-
-
 def canonical_phases(V):
-    """A complex copy of V with each column scaled by
-    :func:`canonical_phase`; a zero column stays zero."""
+    """A complex copy of V with each column scaled to unit norm and its
+    pivot entry real and positive; a zero column stays zero.
+
+    A column's pivot is its first entry whose modulus is within
+    ``PIVOT_SLACK`` (relative) of the column's maximum; the slack makes the
+    choice stable under rounding noise, so conjugate vectors pick the same
+    pivot and canonicalise to literal conjugates of each other."""
     V = np.array(V, dtype=np.complex128)
     if V.size == 0:
         return V

@@ -1,9 +1,9 @@
 """Commutativity structure of a matrix family and its common eigenvectors.
 
 Implements the pair classifications (commuting, quasi-commuting, Shemesh
-partial commuting, Laffey), simultaneous triangularization by deflation,
-and the common-eigenvector refinement that produces the eigenvalue table
-lambda[r, s], the modulus-one count kappa and the conjugate-pair set S2.
+partial commuting, Laffey) and the common-eigenvector refinement that
+produces the eigenvalue table lambda[r, s], the modulus-one count kappa and
+the conjugate-pair set S2.
 """
 
 import collections
@@ -417,58 +417,3 @@ def lc_membership(x, system, tol=None):
         if s not in paired and abs(alphas[s].imag) > atol:
             return None
     return LCCoefficients(alphas=alphas, residual=residual)
-
-
-def _householder_unitary(v):
-    """Hermitian unitary H mapping e_1 to a unit multiple of v.
-
-    Any unit multiple works for deflation: H* A H then carries the
-    eigenvalue of v in its (1, 1) corner with zeros below."""
-    v = np.asarray(v, dtype=np.complex128)
-    n = v.shape[0]
-    v = v / np.linalg.norm(v)
-    pivot = v[0]
-    alpha = 1.0 if pivot == 0 else pivot / abs(pivot)
-    # |u|^2 = 2 + 2 |v[0]| >= 2, so the division is safe
-    u = v + alpha * np.eye(n, dtype=np.complex128)[:, 0]
-    u = u / np.linalg.norm(u)
-    return np.eye(n, dtype=np.complex128) - 2.0 * np.outer(u, u.conj())
-
-
-def simultaneous_triangularization(collection):
-    """Unitary U with every U* A_r U upper triangular, or None.
-
-    Deflation: find a common eigenvector of the (conjugated, deflated)
-    family, rotate it to e_1, recurse on the trailing block.  Absence of a
-    common eigenvector at any stage means no simultaneous triangularization
-    is found by this route (for a McCoy family one always exists).
-    """
-    tol = numeric.CLUSTER_TOL
-    n = collection.n
-    U = np.eye(n, dtype=np.complex128)
-    mats = [M.astype(np.complex128) for M in collection.matrices]
-    for k in range(n - 1):
-        blocks = [M[k:, k:] for M in mats]
-        v = _common_eigenvector_of(blocks, tol)
-        if v is None:
-            return None
-        H = _householder_unitary(v)
-        full = np.eye(n, dtype=np.complex128)
-        full[k:, k:] = H
-        U = U @ full
-        mats = [full.conj().T @ M @ full for M in mats]
-    # verify triangularity below the diagonal
-    for M in mats:
-        lower = np.tril(M, k=-1)
-        if _max_abs(lower) > 100 * tol * max(1.0, _max_abs(M)):
-            return None
-    return U
-
-
-def _common_eigenvector_of(blocks, tol):
-    """One common eigenvector of a list of complex square matrices, or None:
-    the canonical first column of the first subspace :func:`_refine` keeps."""
-    subspaces = _refine(blocks, tol, spectral.eigendecompose(blocks[0]))
-    if not subspaces:
-        return None
-    return spectral.canonical_phase(subspaces[0][0][:, 0])

@@ -267,11 +267,3 @@ def point_period(M, xi, q, tol=numeric.CONVERGENCE_TOL):
     if period is None:
         raise NotPeriodic(f"vector is not {q}-periodic within tolerance {atol}")
     return period
-
-
-def skew_product_step(collection, tau, x):
-    """One step of the skew product T((tau, x)) = (shift(tau), A_{tau_1} x)."""
-    head = tau.letter(0)
-    if head >= collection.N:
-        raise InvalidLetter(f"letter {head} outside collection of size {collection.N}")
-    return tau.shift(), numeric.mat_vec(collection.matrices[head], np.asarray(x))

@@ -300,3 +300,16 @@ def test_cone_point_period_none_when_not_periodic():
     w = words.Word.from_names("A", coll)
     assert conemaps.cone_point_period(coll, w, np.array([1.0, 2.0]), 2) == 2
     assert conemaps.cone_point_period(coll, w, np.array([1.0, 2.0]), 1) is None
+
+
+def test_word_maps_ignore_an_unused_negative_letter():
+    """Only the word's own letters need a cone map: a negative matrix
+    elsewhere in the collection is never read, and one in the word raises."""
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    coll = MatrixCollection(names=("A", "B"), matrices=(swap, -swap))
+    w = words.Word.from_names("AA", coll)
+    y = np.array([1.0, 2.0])
+    assert bits_equal(conemaps.word_cone_apply(coll, w, y), y)
+    assert conemaps.cone_point_period(coll, words.Word.from_names("A", coll), y, 2) == 2
+    with pytest.raises(ValueError, match="negative entry"):
+        conemaps.word_cone_apply(coll, words.Word.from_names("AB", coll), y)

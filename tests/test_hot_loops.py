@@ -282,10 +282,7 @@ def sample_words():
     return {
         "periodic": periodic,
         "preperiodic": preperiodic,
-        "preperiodic-shifted": preperiodic.shift(2),
-        "preperiodic-past-head": preperiodic.shift(5),
         "seeded": seeded,
-        "seeded-shifted": seeded.shift(11),
         "single": infinite.InfiniteWord.periodic((0,), N=1),
     }
 
@@ -328,6 +325,14 @@ CONE_STARTS = {
 }
 
 
+def looped_word_cone_apply(collection, word, y):
+    """f_w(y) one letter map at a time, with a fresh map per letter."""
+    out = np.asarray(y, dtype=np.float64)
+    for letter in word.letters:
+        out = conemaps.ConeMap(collection.matrices[letter]).apply(out)
+    return out
+
+
 @pytest.mark.parametrize("start", sorted(CONE_STARTS))
 @pytest.mark.parametrize("seed", range(4))
 def test_cone_block_bit_equal_to_word_cone_apply(start, seed):
@@ -342,9 +347,11 @@ def test_cone_block_bit_equal_to_word_cone_apply(start, seed):
     with np.errstate(all="ignore"):
         fused = expected = y
         for _ in range(3):
+            assert bits_equal(conemaps.word_cone_apply(coll, word, expected),
+                              looped_word_cone_apply(coll, word, expected))
             fused = step(fused)
             for _ in range(q):
-                expected = conemaps.word_cone_apply(coll, word, expected)
+                expected = looped_word_cone_apply(coll, word, expected)
             assert bits_equal(fused, expected)
 
 

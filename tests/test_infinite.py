@@ -43,12 +43,6 @@ def test_seeded_stream_deterministic():
     assert a.description() == "seed:99"
 
 
-def test_shift():
-    tau = infinite.InfiniteWord.periodic((0, 1, 1), N=2)
-    sigma = tau.shift()
-    assert [sigma.letter(i) for i in range(5)] == [tau.letter(i + 1) for i in range(5)]
-
-
 def test_phi_counts():
     tau = infinite.InfiniteWord.periodic((0, 1), N=2)
     np.testing.assert_array_equal(infinite.phi(tau, 5), [3, 2])

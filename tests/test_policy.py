@@ -1,12 +1,15 @@
 """The tolerance policy lives in ``numeric``: no other module writes a
 small threshold literal, and the report defaults read the named values.
-Each LAPACK factorisation runs at one documented site, and every function
-the benchmark's tracer patches by name exists."""
+Each LAPACK factorisation runs at one documented site, every function
+the benchmark's tracer patches by name exists, and ``__all__`` lists the
+package's public names."""
 
 import ast
 import importlib.util
 import pathlib
+import types
 
+import matword
 from matword import numeric, reporting
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "matword"
@@ -109,3 +112,12 @@ def test_traced_benchmark_layers_resolve():
                if not callable(getattr(importlib.import_module(f"matword.{module}"),
                                        attr, None))]
     assert missing == []
+
+
+def test_all_lists_every_public_name():
+    """``__all__`` is exactly the package's public names that are not
+    submodules, so ``from matword import *`` gives every exception and
+    result class, and removing a name from the API updates both lists."""
+    public = {name for name, value in vars(matword).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(matword.__all__) == sorted(public)

@@ -111,11 +111,13 @@ def finite_lapack():
 
 
 def run_main(argv, document):
-    """``cli.main`` in process on a document given as standard input:
+    """``cli.main`` in process on a document given as standard input, as
+    text or as bytes read through a strict UTF-8 decoder:
     (exit code, everything written to stderr)."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
-    sys.stdin = io.StringIO(document)
+    sys.stdin = (io.TextIOWrapper(io.BytesIO(document), encoding="utf-8")
+                 if isinstance(document, bytes) else io.StringIO(document))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv, stdout=out, stderr=err)
@@ -149,6 +151,29 @@ def test_integral_fields_are_accepted(value):
     document = {"dimension": value, "matrices": SWAP, "options": {"max_iter": value}}
     code, err = run_main(["validate", "-"], json.dumps(document))
     assert code == 0, err
+
+
+#: inputs that ended in a traceback with exit 1: bytes that are not UTF-8
+#: (UnicodeDecodeError) and JSON nested past the parser's recursion limit
+#: (RecursionError from ``json.loads``)
+UNREADABLE_INPUTS = {
+    "not-utf8": b"\xff\xfe{}",
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("source", ["path", "stdin"])
+@pytest.mark.parametrize("name", sorted(UNREADABLE_INPUTS))
+def test_unreadable_input_exits_2(tmp_path, name, source):
+    data = UNREADABLE_INPUTS[name]
+    if source == "path":
+        path = tmp_path / "document.json"
+        path.write_bytes(data)
+        code, err = run_main(["validate", str(path)], "")
+    else:
+        code, err = run_main(["validate", "-"], data)
+    assert code == 2 and err.startswith("input error:"), err
+    assert "Traceback" not in err
 
 
 EXTREME_ENTRIES = st.sampled_from(["1e300", "1e-300", "0.999999999", 0, 1])

@@ -141,12 +141,12 @@ def test_phase_canonicalization():
     rng = np.random.default_rng(44)
     for _ in range(25):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        canon = spectral.canonical_phase(v)
+        canon = spectral.canonical_phases(v[:, None])[:, 0]
         assert np.linalg.norm(canon) == pytest.approx(1.0, abs=1e-12)
         idx = int(np.argmax(np.abs(canon)))
         assert canon[idx].imag == 0.0 and canon[idx].real > 0
         # canonicalisation of any rescaling agrees
-        again = spectral.canonical_phase(v * (2.3 - 1.7j))
+        again = spectral.canonical_phases((v * (2.3 - 1.7j))[:, None])[:, 0]
         np.testing.assert_allclose(canon, again, atol=1e-12)
 
 
@@ -229,7 +229,8 @@ def test_simple_clusters_take_eigs_column(monkeypatch):
         for p in pairs:
             assert (p.algebraic, p.geometric) == (1, 1)
             j = int(np.argmin(np.abs(vals - p.eigenvalue)))
-            assert same_bytes(p.eigenvector, spectral.canonical_phase(vecs[:, j]))
+            assert same_bytes(p.eigenvector,
+                              spectral.canonical_phases(vecs[:, j:j + 1])[:, 0])
         assert len({p.cluster for p in pairs}) == n
     assert calls[0] == 0
 

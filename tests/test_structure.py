@@ -117,45 +117,6 @@ def test_quasi_commuting_collection():
     assert not flag and witness is not None
 
 
-def _assert_triangular(U, mats, tol=1e-8):
-    for M in mats:
-        T = U.conj().T @ M @ U
-        assert np.max(np.abs(np.tril(T, k=-1))) <= tol
-
-
-def test_simultaneous_triangularization_single_matrix():
-    rng = np.random.default_rng(9)
-    A = rng.uniform(size=(5, 5))
-    coll = MatrixCollection(names=("A",), matrices=(A,))
-    U = structure.simultaneous_triangularization(coll)
-    assert U is not None
-    np.testing.assert_allclose(U.conj().T @ U, np.eye(5), atol=1e-10)
-    _assert_triangular(U, [A])
-
-
-def test_simultaneous_triangularization_example2():
-    coll = ENTRIES["example2"].collection
-    U = structure.simultaneous_triangularization(coll)
-    assert U is not None
-    _assert_triangular(U, [np.asarray(M) for M in coll.matrices])
-
-
-def test_simultaneous_triangularization_example7():
-    coll = ENTRIES["example7"].collection
-    U = structure.simultaneous_triangularization(coll)
-    assert U is not None
-    _assert_triangular(U, [np.asarray(M) for M in coll.matrices])
-
-
-def test_simultaneous_triangularization_absent():
-    # swap and a rotation-like pair with no common eigenvector
-    coll = MatrixCollection(
-        names=("A", "B"),
-        matrices=(corpus.J2, np.array([[0.0, 2.0], [0.5, 0.0]])),
-    )
-    assert structure.simultaneous_triangularization(coll) is None
-
-
 def test_common_eigenvectors_example2():
     entry = ENTRIES["example2"]
     system = structure.common_eigenvectors(entry.collection)

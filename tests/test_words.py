@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from matword import corpus, infinite, numeric, spectral, structure, words
+from matword import corpus, numeric, spectral, structure, words
 from matword.collection import MatrixCollection
 from matword.exceptions import InvalidLetter, NotPeriodic, SpectralRadiusViolation
 
@@ -354,48 +354,3 @@ def test_single_letter_words_always_converge():
             period = words.point_period(words.word_product(coll, w), result.xi,
                                         cert.q)
             assert cert.q % period == 0
-
-
-def test_skew_product_step_composition():
-    e2 = ENTRIES["example2"].collection
-    tau = infinite.InfiniteWord.periodic((0, 1), N=2)
-    x = np.arange(6, dtype=float)
-    tau1, y1 = words.skew_product_step(e2, tau, x)
-    tau2, y2 = words.skew_product_step(e2, tau1, y1)
-    np.testing.assert_allclose(
-        y2, numeric.mat_vec(e2["B"], numeric.mat_vec(e2["A"], x))
-    )
-    assert tau2.letter(0) == tau.letter(2)
-
-
-def test_skew_product_step_example1_alternation():
-    coll = ENTRIES["example1"].collection
-    tau = infinite.InfiniteWord.periodic((0,), N=1)
-    x = np.array([0.0, 1.0])
-    tau, x = words.skew_product_step(coll, tau, x)
-    np.testing.assert_array_equal(x, [1.0, 0.0])
-    tau, x = words.skew_product_step(coll, tau, x)
-    np.testing.assert_array_equal(x, [0.0, 1.0])
-
-
-def test_skew_product_step_zero_vector():
-    e2 = ENTRIES["example2"].collection
-    tau = infinite.InfiniteWord.periodic((1, 0), N=2)
-    _, y = words.skew_product_step(e2, tau, np.zeros(6))
-    np.testing.assert_array_equal(y, np.zeros(6))
-
-
-def test_skew_product_block_equals_limit_stepping():
-    # p*q skew steps over a p-periodic word equal one q-block of the word product
-    entry = ENTRIES["example3"]
-    coll = entry.collection
-    tau = infinite.InfiniteWord.periodic((0, 1, 1), N=2)
-    w = words.Word((0, 1, 1))
-    q = words.global_period(coll).q
-    x = entry.data["x"] + 0.1
-    z = x.copy()
-    t = tau
-    for _ in range(w.p * q):
-        t, z = words.skew_product_step(coll, t, z)
-    Mq = numeric.mat_power(words.word_product(coll, w), q)
-    np.testing.assert_allclose(z, numeric.mat_vec(Mq, x), atol=1e-10)
