@@ -124,11 +124,16 @@ def word_cone_apply(collection, word, y):
     return _word_map(collection, word)(np.asarray(y, dtype=np.float64))
 
 
-def _word_map(collection, word):
-    """f_w as a :func:`_block_map`, with a map built once for each of the
-    word's own letters."""
+def _letter_maps(collection, word):
+    """A cone map for each of the word's own letters, by letter index: a
+    letter the word never uses is not read."""
     word.validate(collection)
-    return _block_map({l: ConeMap(collection.matrices[l]) for l in word.letters}, word, 1)
+    return {l: ConeMap(collection.matrices[l]) for l in word.letters}
+
+
+def _word_map(collection, word):
+    """f_w as a :func:`_block_map` of :func:`_letter_maps`."""
+    return _block_map(_letter_maps(collection, word), word, 1)
 
 
 def _block_map(maps, word, q):
@@ -217,7 +222,7 @@ def cone_limit(collection, word, y, q, tol=numeric.CONVERGENCE_TOL,
 
     linear = words.limit_point(collection, word, x, q, tol=tol,
                                max_iter=max_iter, bound=bound)
-    maps = [ConeMap(M) for M in collection.matrices]
+    maps = _letter_maps(collection, word)
     conjugated = _conjugated_limit(maps, word, q, x, linear, tol, bound)
     if conjugated is not None:
         return conjugated

@@ -189,16 +189,12 @@ def a_tilde(collection, word, q, x, tol=numeric.CONVERGENCE_TOL,
 
 
 def _check_q2_hypotheses(collection, tol):
-    for r in range(collection.N):
-        for s in range(r + 1, collection.N):
-            commuting, _, _ = structure.commutator_test(
-                collection.matrices[r], collection.matrices[s], tol,
-                (collection.names[r], collection.names[s]))
-            if not commuting:
-                raise HypothesesNotMet(
-                    f"matrices {collection.names[r]} and {collection.names[s]} "
-                    "do not commute"
-                )
+    for r, s, C, scale in structure.pair_table(collection)[1]:
+        if not structure._commutes(C, scale, tol):
+            raise HypothesesNotMet(
+                f"matrices {collection.names[r]} and {collection.names[s]} "
+                "do not commute"
+            )
     for index, name in enumerate(collection.names):
         if any(pair.defective for pair in collection._eigenpairs(index)):
             raise HypothesesNotMet(f"matrix {name} is not diagonalizable")

@@ -180,12 +180,19 @@ def rank_and_nullspace(M, tol=0.0):
     basis : ndarray, shape (n, n - rank)
         Orthonormal columns spanning the (numerical) nullspace.
     """
+    return _nullspaces(M, (tol,))[0]
+
+
+def _nullspaces(M, tols):
+    """:func:`rank_and_nullspace` of M at each cut in ``tols``, from one
+    SVD: the one site of ``np.linalg.svd``."""
     M = np.asarray(M)
     if M.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got shape {M.shape}")
     m, n = M.shape
     if M.size == 0:
-        return 0, np.eye(n, dtype=M.dtype)
+        return [(0, np.eye(n, dtype=M.dtype)) for _ in tols]
     _, s, Vh = np.linalg.svd(require_finite(M))
-    rank = int(np.sum(s > max(tol, default_rank_tol(s, max(m, n)))))
-    return rank, Vh[rank:].conj().T
+    floor = default_rank_tol(s, max(m, n))
+    ranks = [int(np.sum(s > max(tol, floor))) for tol in tols]
+    return [(rank, Vh[rank:].conj().T) for rank in ranks]

@@ -133,19 +133,18 @@ def validate(collection, settings=None):
     three or more matrices only when quasi-commuting.  Products of every
     two-letter word are probed as a diagnostic: a product radius above
     one warns that word limits may diverge off the common eigenvectors.
-    An overflowing product raises NonFiniteValue before any pair is
-    classified, and so does a pair whose commutator scale |A| |B|
-    overflows although its products stay finite.
+
+    The pair work is :func:`~matword.structure.pair_table` and
+    :func:`~matword.structure.pair_classes`, formed once per collection:
+    every two-letter product is formed and checked finite first, then
+    every pair's commutator scale |A| |B|, so an overflowing product, and
+    after it an overflowing scale, raises NonFiniteValue before any pair
+    is classified.  Each pair r < s costs its two products (C is their
+    difference), one SVD of C and the Shemesh refinement, and one product
+    radius, which its reversed word shares.
     """
     settings = settings or ToleranceSettings()
-    products = {}
-    for r in range(collection.N):
-        for s in range(collection.N):
-            if r != s:
-                word = collection.names[r] + collection.names[s]
-                products[word] = numeric.require_finite(
-                    numeric.mat_mul(collection.matrices[s], collection.matrices[r]),
-                    what=f"the product of the two-letter word {word}")
+    products, commutators = structure.pair_table(collection)
     per_matrix = []
     for index, (name, M) in enumerate(zip(collection.names, collection.matrices)):
         rho = spectral._radius(collection._spectrum(index)[0])
@@ -158,21 +157,14 @@ def validate(collection, settings=None):
     rho_ok = all(row["rho_ok"] for row in per_matrix)
     nonneg_ok = all(row["nonnegative"] for row in per_matrix)
 
-    pairs = []
-    for r in range(collection.N):
-        for s in range(r + 1, collection.N):
-            cls = structure.classify_pair(
-                collection.matrices[r], collection.matrices[s],
-                (collection.names[r], collection.names[s]),
-            )
-            pairs.append({
-                "pair": [collection.names[r], collection.names[s]],
-                "commuting": cls.commuting,
-                "quasi_commuting": cls.quasi_commuting,
-                "laffey": cls.laffey,
-                "commutator_rank": cls.commutator_rank,
-                "shemesh_dimension": cls.shemesh_dimension,
-            })
+    pairs = [{
+        "pair": [collection.names[r], collection.names[s]],
+        "commuting": cls.commuting,
+        "quasi_commuting": cls.quasi_commuting,
+        "laffey": cls.laffey,
+        "commutator_rank": cls.commutator_rank,
+        "shemesh_dimension": cls.shemesh_dimension,
+    } for (r, s, _, _), cls in zip(commutators, structure.pair_classes(collection))]
 
     if collection.N == 1:
         classification = "single"
@@ -196,8 +188,11 @@ def validate(collection, settings=None):
             structural_ok = all_commuting or quasi
 
     warnings_list = []
+    radii = {}
     for word, product in products.items():
-        rho = spectral.spectral_radius(product)
+        # rho(A_s A_r) = rho(A_r A_s): a reversed word shares the radius
+        rho = radii[word] = (radii[word[::-1]] if word[::-1] in radii
+                             else spectral.spectral_radius(product))
         if rho > 1.0 + settings.rho_tol:
             warnings_list.append(
                 f"rho(A_w) = {rho:.12g} > 1 for the two-letter word {word}"

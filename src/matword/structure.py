@@ -42,23 +42,33 @@ def shemesh_subspace(A, B):
     ker([A^k, B^l]) over 1 <= k, l <= n-1.
 
     N is the largest A,B-invariant subspace inside ker[A, B], so it is
-    computed by refinement: start from V = ker[A, B] (singular values cut
-    at ``RANK_TOL * max(1, |A||B|) * n``) and keep V <- {v in V : Av, Bv in V}
-    until no direction is lost, with the out-of-span maps of A and B
-    scaled by ``max(1, |M|) * n`` and cut at ``RANK_TOL``.
-    Each round loses a direction or stops, so the cost is one n x n SVD
-    plus at most n SVDs of 2n x dim(V) stacks: O(n^4) flops at worst,
-    O(n^3) when ker[A, B] is trivial.
+    computed by refinement (:func:`_rank_and_shemesh`): start from
+    V = ker[A, B] (singular values cut at ``RANK_TOL * max(1, |A||B|) * n``)
+    and keep V <- {v in V : Av, Bv in V} until no direction is lost, with
+    the out-of-span maps of A and B scaled by ``max(1, |M|) * n`` and cut
+    at ``RANK_TOL``.  Each round loses a direction or stops, so the cost
+    is one n x n SVD of [A, B] plus at most n SVDs of 2n x dim(V) stacks:
+    O(n^4) flops at worst, O(n^3) when ker[A, B] is trivial.
+    :func:`classify_pair` and the pair classes of ``validate`` run the
+    same refinement from the same SVD, which also gives them the rank
+    of [A, B], so a pair is factorised once.
 
     The subspace is nontrivial exactly when the pair has a common
     eigenvector; both matrices leave it invariant and commute on it.
     """
     A = numeric.require_square(np.asarray(A, dtype=np.float64))
     B = numeric.require_square(np.asarray(B, dtype=np.float64))
+    return _rank_and_shemesh(A, B, commutator(A, B), _scale(A, B))[1]
+
+
+def _rank_and_shemesh(A, B, C, scale):
+    """``(rank of C, Shemesh basis)`` of the pair A, B with commutator C
+    and :func:`_scale`, from one SVD of C cut at ``RANK_TOL * scale`` for
+    the rank and at that cut times n for the start of the refinement
+    that :func:`shemesh_subspace` describes."""
     tol = numeric.RANK_TOL
     n = A.shape[0]
-    _, C, scale = commutator_test(A, B, tol)
-    _, V = numeric.rank_and_nullspace(C, tol=tol * scale * n)
+    (rank, _), (_, V) = numeric._nullspaces(C, (tol * scale, tol * scale * n))
     scales = [max(1.0, _max_abs(M)) * n for M in (A, B)]
     while V.shape[1]:
         stacked = np.vstack([_compress(M, V)[1] / s for M, s in zip((A, B), scales)])
@@ -66,7 +76,7 @@ def shemesh_subspace(A, B):
         if Z.shape[1] == V.shape[1]:
             break
         V = V @ Z
-    return V
+    return rank, V
 
 
 @dataclass(frozen=True)
@@ -82,26 +92,43 @@ class PairClassification:
         return self.shemesh_dimension >= 1
 
 
-def commutator_test(A, B, tol, pair=("A", "B")):
-    """``(commuting, C, scale)``: whether C = [A, B] is at most
-    ``tol * scale`` in max norm, with scale = max(1, |A| |B|).
-
-    A scale that overflows would pass every commutator, so it raises
-    :class:`NonFiniteValue` naming ``pair``.
-    """
-    C = commutator(A, B)
+def _scale(A, B, pair=("A", "B")):
+    """max(1, |A| |B|), the scale of every commutator test of the pair
+    named ``pair``.  A scale that overflows would pass every commutator,
+    so it raises :class:`NonFiniteValue` naming the pair."""
     scale = max(1.0, _max_abs(A) * _max_abs(B))
     if not np.isfinite(scale):
         raise NonFiniteValue(
             f"the commutator scale |{pair[0]}| |{pair[1]}| of the pair "
             f"{pair[0]}, {pair[1]} is not finite")
-    return _max_abs(C) <= tol * scale, C, scale
+    return scale
+
+
+def _commutes(C, scale, tol):
+    """The commuting test: C = [A, B] at most ``tol * scale`` in max norm."""
+    return _max_abs(C) <= tol * scale
 
 
 def _commutes_with_commutator(M, C, scale, tol):
-    """The quasi-commuting side test for M, a member of the pair whose
-    commutator test returned ``C`` and ``scale``."""
+    """The quasi-commuting side test for M, a member of the pair with
+    commutator ``C`` and :func:`_scale` ``scale``."""
     return _max_abs(commutator(M, C)) <= tol * scale * max(1.0, _max_abs(M))
+
+
+def _classification(A, B, C, scale):
+    """:class:`PairClassification` of the pair A, B from its commutator C
+    and :func:`_scale`."""
+    tol = numeric.RANK_TOL
+    quasi = (_commutes_with_commutator(A, C, scale, tol)
+             and _commutes_with_commutator(B, C, scale, tol))
+    rank, basis = _rank_and_shemesh(A, B, C, scale)
+    return PairClassification(
+        commuting=_commutes(C, scale, tol),
+        quasi_commuting=quasi,
+        laffey=rank == 1,
+        shemesh_dimension=basis.shape[1],
+        commutator_rank=rank,
+    )
 
 
 def classify_pair(A, B, pair=("A", "B")):
@@ -109,19 +136,52 @@ def classify_pair(A, B, pair=("A", "B")):
     :class:`PairClassification`."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    tol = numeric.RANK_TOL
-    commuting, C, scale = commutator_test(A, B, tol, pair)
-    quasi = (_commutes_with_commutator(A, C, scale, tol)
-             and _commutes_with_commutator(B, C, scale, tol))
-    rank, _ = numeric.rank_and_nullspace(C, tol=tol * scale)
-    basis = shemesh_subspace(A, B)
-    return PairClassification(
-        commuting=commuting,
-        quasi_commuting=quasi,
-        laffey=rank == 1,
-        shemesh_dimension=basis.shape[1],
-        commutator_rank=rank,
-    )
+    return _classification(A, B, commutator(A, B), _scale(A, B, pair))
+
+
+def pair_table(collection):
+    """``(products, commutators)``: the pair pass of a collection, formed
+    once and shared by ``validate``, :func:`pair_classes`,
+    :func:`is_quasi_commuting` and the q2 hypothesis check.
+
+    ``products`` maps each two-letter word rs (r != s, r then s in letter
+    order) to its product A_s A_r, each checked finite and named by its
+    word.  ``commutators`` lists ``(r, s, C, scale)`` for each pair r < s:
+    C = [A_r, A_s] is the product of sr minus that of rs, and scale is
+    :func:`_scale`, checked only after every product, so an overflowing
+    product is the first error an input reports.  The arrays are
+    read-only.
+    """
+    return collection._memoised(("pair_table",), lambda: _pair_table(collection))
+
+
+def _pair_table(collection):
+    names, mats = collection.names, collection.matrices
+    products = {}
+    for r in range(collection.N):
+        for s in range(collection.N):
+            if r != s:
+                word = names[r] + names[s]
+                products[word] = numeric.require_finite(
+                    numeric.mat_mul(mats[s], mats[r]),
+                    what=f"the product of the two-letter word {word}")
+    pairs = [(r, s) for r in range(collection.N) for s in range(r + 1, collection.N)]
+    scales = [_scale(mats[r], mats[s], (names[r], names[s])) for r, s in pairs]
+    commutators = tuple(
+        (r, s, products[names[s] + names[r]] - products[names[r] + names[s]], scale)
+        for (r, s), scale in zip(pairs, scales))
+    for array in [*products.values(), *(C for _, _, C, _ in commutators)]:
+        array.setflags(write=False)
+    return products, commutators
+
+
+def pair_classes(collection):
+    """:class:`PairClassification` of each pair r < s of a collection, in
+    :func:`pair_table` order, from its shared commutators; computed once
+    per collection."""
+    return collection._memoised(("pair_classes",), lambda: tuple(
+        _classification(collection.matrices[r], collection.matrices[s], C, scale)
+        for r, s, C, scale in pair_table(collection)[1]))
 
 
 def is_quasi_commuting(collection):
@@ -131,14 +191,11 @@ def is_quasi_commuting(collection):
     triple (r, s, side) or is None.
     """
     names = collection.names
-    tol = numeric.RANK_TOL
-    for r in range(collection.N):
-        for s in range(r + 1, collection.N):
-            A, B = collection.matrices[r], collection.matrices[s]
-            _, C, scale = commutator_test(A, B, tol, (names[r], names[s]))
-            for side, M in ((r, A), (s, B)):
-                if not _commutes_with_commutator(M, C, scale, tol):
-                    return False, (names[r], names[s], names[side])
+    for r, s, C, scale in pair_table(collection)[1]:
+        for side in (r, s):
+            if not _commutes_with_commutator(collection.matrices[side], C, scale,
+                                             numeric.RANK_TOL):
+                return False, (names[r], names[s], names[side])
     return True, None
 
 

@@ -435,3 +435,17 @@ def test_overflowing_commutator_scale_exit_2(tmp_path, argv):
     assert code == 2 and out == ""
     assert err.startswith("input error: the commutator scale |A| |B| of the pair A, B")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["classify", "--force"], ["validate"],
+                                  ["analyze", "--force", "--query", "classify"]])
+def test_every_product_is_checked_before_any_commutator_scale(tmp_path, argv):
+    # A, B have finite products and an overflowing scale; AC's product overflows
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps({"dimension": 2, "matrices": {
+        "A": [["1e300", 0], [1, 0]], "B": [[0, 1], [0, "1e300"]],
+        "C": [["1e10", 0], [0, 0]]}}))
+    code, out, err = run_cli(argv[:1] + [str(path)] + argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("input error: the product of the two-letter word AC")
+    assert "Traceback" not in err

@@ -304,12 +304,19 @@ def test_cone_point_period_none_when_not_periodic():
 
 def test_word_maps_ignore_an_unused_negative_letter():
     """Only the word's own letters need a cone map: a negative matrix
-    elsewhere in the collection is never read, and one in the word raises."""
+    elsewhere in the collection is never read, so ``cone_limit`` of AA on
+    (swap, -swap) is that on {swap}, and one in the word raises."""
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     coll = MatrixCollection(names=("A", "B"), matrices=(swap, -swap))
     w = words.Word.from_names("AA", coll)
     y = np.array([1.0, 2.0])
     assert bits_equal(conemaps.word_cone_apply(coll, w, y), y)
     assert conemaps.cone_point_period(coll, words.Word.from_names("A", coll), y, 2) == 2
+    single = MatrixCollection(names=("A",), matrices=(swap,))
+    got, expected = (conemaps.cone_limit(c, w, y, 2) for c in (coll, single))
+    assert got.converged and bits_equal(got.eta, expected.eta)
+    assert ((got.iterations, got.residual, got.path_agreement)
+            == (expected.iterations, expected.residual, expected.path_agreement))
     with pytest.raises(ValueError, match="negative entry"):
         conemaps.word_cone_apply(coll, words.Word.from_names("AB", coll), y)
+

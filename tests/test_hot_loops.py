@@ -532,9 +532,11 @@ def test_slow_mixing_request_decomposes_each_letter_once(monkeypatch):
 
 def test_classify_and_eigensystem_decompose_each_letter_once(monkeypatch, tmp_path):
     """``analyze --query classify --query eigensystem`` on a generic pair
-    at n = 8 makes one eig per letter; eigvals runs only for the products
-    of validation's two two-letter words, and 2 SVDs remain (1 eig,
-    4 eigvals and 4 SVDs before validation shared the letters' eig)."""
+    at n = 8 makes one eig per letter; eigvals runs once, for the product
+    of the two-letter word AB, whose radius BA shares, and 1 SVD remains,
+    of the commutator (1 eig, 4 eigvals and 4 SVDs before validation
+    shared the letters' eig, then 2 eigvals and 2 SVDs before the pair
+    pass was shared)."""
     family = gen.generic_pair(np.random.default_rng(8), 8)
     coll = MatrixCollection(names=("A", "B"), matrices=tuple(family.matrices))
     path = tmp_path / "generic.json"
@@ -547,9 +549,79 @@ def test_classify_and_eigensystem_decompose_each_letter_once(monkeypatch, tmp_pa
                     stdout=io.StringIO(), stderr=io.StringIO())
     assert code == 0
     assert len(letter_matrices(lapack["eig"], coll)) == len(lapack["eig"]) == 2
-    assert [M.tobytes() for M in lapack["eigvals"]] == [
-        numeric.mat_mul(B, A).tobytes(), numeric.mat_mul(A, B).tobytes()]
-    assert len(lapack["svd"]) <= 2
+    assert [M.tobytes() for M in lapack["eigvals"]] == [numeric.mat_mul(B, A).tobytes()]
+    assert [M.tobytes() for M in lapack["svd"]] == [structure.commutator(A, B).tobytes()]
+
+
+def mat_mul_calls(monkeypatch):
+    """The operands of every later ``numeric.mat_mul`` call."""
+    calls = []
+    original = numeric.mat_mul
+
+    def wrapper(A, B):
+        calls.append((np.array(A), np.array(B)))
+        return original(A, B)
+
+    monkeypatch.setattr(numeric, "mat_mul", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("make, svds", [(gen.generic_pair, 1), (gen.planted_pair, 2)],
+                         ids=["generic", "planted"])
+def test_validate_forms_each_pair_once(monkeypatch, make, svds):
+    """``validate`` of a pair at n = 8 makes 4 products: the two of its
+    two-letter words, whose difference is the commutator C, and one side
+    of the quasi-commuting test.  C takes one SVD, and a planted block one
+    more for its refinement round.  Before the pair pass was shared this
+    was 8 products and 2 or 3 SVDs.  A second ``validate`` reads the pass
+    and multiplies nothing."""
+    family = make(np.random.default_rng(8), 8)
+    coll = MatrixCollection(names=("A", "B"), matrices=tuple(family.matrices))
+    A, B = coll.matrices
+    C = structure.commutator(A, B)
+    lapack = lapack_calls(monkeypatch)
+    products = mat_mul_calls(monkeypatch)
+    first = reporting.validate(coll)
+    assert len(products) == 4
+    assert [(X.tobytes(), Y.tobytes()) for X, Y in products[:2]] == [
+        (B.tobytes(), A.tobytes()), (A.tobytes(), B.tobytes())]
+    assert len(lapack["svd"]) == svds and lapack["svd"][0].tobytes() == C.tobytes()
+    assert (first["pair_classifications"][0]["shemesh_dimension"] > 0) == (svds > 1)
+    assert reporting.validate(coll) == first
+    assert len(products) == 4 and len(lapack["svd"]) == svds
+
+
+def test_classify_and_q2_form_no_commutator_after_validate(monkeypatch, tmp_path):
+    """``analyze --query classify --query q2`` on the commuting example 2
+    multiplies no pair of letters in both orders, and takes no SVD of
+    their commutator, once validation has returned: the classify query
+    and q2's commuting check read the collection's pair pass."""
+    coll = corpus.build_corpus()["example2"].collection
+    path = tmp_path / "example2.json"
+    path.write_text(json.dumps({"dimension": coll.n, "matrices": {
+        name: M.tolist() for name, M in zip(coll.names, coll.matrices)}}))
+    C = structure.commutator(*coll.matrices).tobytes()
+    validate = reporting.validate
+
+    def validate_then_record(*args, **kwargs):
+        report = validate(*args, **kwargs)
+        lapack["svd"].clear()
+        products.clear()
+        return report
+
+    monkeypatch.setattr(reporting, "validate", validate_then_record)
+    lapack = lapack_calls(monkeypatch)
+    products = mat_mul_calls(monkeypatch)
+    code = cli.main(["analyze", str(path), "--query", "classify", "--query",
+                     "q2 --tau periodic:AB --x 2,0,2,0,0,0", "--format", "machine"],
+                    stdout=io.StringIO(), stderr=io.StringIO())
+    assert code == 0
+    letters = [M.tobytes() for M in coll.matrices]
+    pairs = {(letters.index(X.tobytes()), letters.index(Y.tobytes()))
+             for X, Y in products
+             if X.tobytes() in letters and Y.tobytes() in letters}
+    assert products and not any((s, r) in pairs for r, s in pairs if r != s)
+    assert all(M.tobytes() != C for M in lapack["svd"])
 
 
 # ---------------------------------------------------------------------------

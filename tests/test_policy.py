@@ -68,7 +68,7 @@ def test_tolerance_settings_default_to_the_named_policy():
 
 #: the one site of each LAPACK factorisation: (file, function, name)
 LAPACK_SITES = {
-    ("numeric.py", "rank_and_nullspace", "svd"),
+    ("numeric.py", "_nullspaces", "svd"),
     ("spectral.py", "_eig", "eig"),
     ("spectral.py", "_eig", "eigvals"),
     ("structure.py", "lc_membership", "lstsq"),
