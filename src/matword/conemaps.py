@@ -54,23 +54,20 @@ class ConeMap:
         return self.matrix.sum(axis=1)
 
     def apply(self, y):
-        return self.apply_detailed(y)[0]
-
-    def apply_detailed(self, y):
-        """Evaluate f(y); returns ``(value, underflow_mask)``.
+        """Evaluate f(y).
 
         Interior points go through the log domain (accurate when the
         coordinates span many magnitudes); points with zero coordinates use
         the monomial form, the only continuous extension.  Components whose
         log-domain value falls below the smallest normal double are flushed
-        to exact zero and flagged, matching the boundary-limit semantics.
+        to exact zero, matching the boundary-limit semantics.
         """
         y = np.asarray(y, dtype=np.float64)
+        if (y > 0).all():
+            return _log_domain(self.matrix, y)
         if np.any(y < 0):
             idx = int(np.argmax(y < 0))
             raise ValueError(f"coordinate {idx} = {y[idx]} is negative")
-        if np.all(y > 0):
-            return _log_domain(self.matrix, y)
         return self._monomial(y)
 
     def monomial_apply(self, y):
@@ -78,40 +75,34 @@ class ConeMap:
         y = np.asarray(y, dtype=np.float64)
         if np.any(y < 0):
             raise ValueError("monomial form is defined on the nonnegative orthant")
-        return self._monomial(y)[0]
+        return self._monomial(y)
 
     def _monomial(self, y):
         n = self.matrix.shape[0]
         out = np.ones(n, dtype=np.float64)
-        underflow = np.zeros(n, dtype=bool)
         for i in range(n):
             acc = 1.0
-            hit_zero = False
             for j in range(n):
                 a = self.matrix[i, j]
                 if a == 0.0:
                     continue  # y ** 0 == 1, including at y == 0
                 if y[j] == 0.0:
                     acc = 0.0
-                    hit_zero = True
                     break
                 acc *= y[j] ** a
-            if not hit_zero and acc < TINY:
-                underflow[i] = True
-                acc = 0.0
-            out[i] = acc
-        return out, underflow
+            out[i] = 0.0 if acc < TINY else acc
+        return out
 
 
 def _log_domain(matrix, y):
-    """``(exp(A log y), underflow_mask)`` for y > 0, with every exponent
-    below log(TINY) flushed to exact zero."""
+    """exp(A log y) for y > 0, with every exponent below log(TINY) flushed
+    to exact zero."""
     exponents = numeric.mat_vec(matrix, np.log(y))
     value = np.exp(exponents)
     underflow = exponents < _LOG_TINY
     if underflow.any():
         value[underflow] = 0.0
-    return value, underflow
+    return value
 
 
 def cone_apply(matrix, y):
@@ -137,16 +128,13 @@ def _word_map(collection, word):
 
 
 def _block_map(maps, word, q):
-    """f_w^q as one flat block of letter maps: :meth:`ConeMap.apply` per
-    letter, except that an interior point skips its dispatch."""
+    """f_w^q as one flat block of letter maps, :meth:`ConeMap.apply` per
+    letter."""
     block = [maps[letter] for letter in word.letters] * int(q)
 
     def f_word_q(z):
         for cone_map in block:
-            if (z > 0).all():
-                z = _log_domain(cone_map.matrix, z)[0]
-            else:
-                z = cone_map.apply(z)
+            z = cone_map.apply(z)
         return z
 
     return f_word_q

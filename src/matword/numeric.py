@@ -53,10 +53,12 @@ def parse_entry(value):
 
 
 def parse_vector(text):
-    """Parse a comma-separated vector of numbers / rationals into an ndarray."""
-    parts = [p for p in str(text).split(",") if p.strip()]
-    if not parts:
-        raise ParseError(f"empty vector {text!r}")
+    """Parse a comma-separated vector of numbers / rationals into an ndarray;
+    blanks around an entry are allowed, an empty field is a ParseError."""
+    parts = str(text).split(",")
+    for position, part in enumerate(parts):
+        if not part.strip():
+            raise ParseError(f"empty field at position {position} in vector {text!r}")
     return np.array([parse_entry(p) for p in parts], dtype=np.float64)
 
 

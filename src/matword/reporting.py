@@ -7,8 +7,8 @@ every float with 17 significant digits so that documents round-trip
 losslessly and re-runs are byte-identical.
 """
 
+import dataclasses
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .collection import MatrixCollection
 from .exceptions import ParseError
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ToleranceSettings:
     """The knobs every analysis threads through, echoed into reports."""
 
@@ -28,13 +28,7 @@ class ToleranceSettings:
     bound: float = numeric.BOUND
 
     def as_dict(self):
-        return {
-            "tol": self.tol,
-            "modulus_tol": self.modulus_tol,
-            "rho_tol": self.rho_tol,
-            "max_iter": self.max_iter,
-            "bound": self.bound,
-        }
+        return dataclasses.asdict(self)
 
 
 def _integer(value):
@@ -44,10 +38,19 @@ def _integer(value):
     return int(value)
 
 
+def _reject_unknown_keys(mapping, accepted, what):
+    for key in mapping:
+        if key not in accepted:
+            raise ParseError(f"unknown {what} key {key!r}; "
+                             f"accepted keys are {', '.join(accepted)}")
+
+
 def parse_collection_document(document):
-    """CollectionSpec (parsed JSON) -> (MatrixCollection, options dict)."""
+    """CollectionSpec (parsed JSON) -> (MatrixCollection, options dict); a
+    key the format does not define is a ParseError, not silently ignored."""
     if not isinstance(document, dict):
         raise ParseError("input document must be a JSON object")
+    _reject_unknown_keys(document, ("dimension", "matrices", "options"), "document")
     try:
         dimension = _integer(document["dimension"])
         matrices = document["matrices"]
@@ -77,6 +80,7 @@ def parse_collection_document(document):
     options = document.get("options", {})
     if not isinstance(options, dict):
         raise ParseError("'options' must be an object")
+    _reject_unknown_keys(options, list(ToleranceSettings().as_dict()), "option")
     return collection, options
 
 

@@ -6,7 +6,6 @@ produces the eigenvalue table lambda[r, s], the modulus-one count kappa and
 the conjugate-pair set S2.
 """
 
-import collections
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,40 +336,17 @@ def _pair_conjugate_subspaces(subspaces, tol):
     return out
 
 
-# Sort keys quantize the eigenvalue and vector parts to 6 decimals, so the
-# order is decided by genuine differences, never by rounding noise; exact
-# vector bytes break the remaining ties.
-
-
-def _sort_head(lams, kappa_member):
-    """The eigenvalue part of an entry's sort key, rounded as Python
-    numbers."""
+def _sort_key(lams, kappa_member, vector):
+    """An entry's sort key: the eigenvalue part rounded to 6 decimals as
+    Python numbers, the vector components rounded alike as numpy floats
+    (an array's ``round`` rounds each entry as ``round`` does a numpy
+    float), so genuine differences decide, never rounding noise; then the
+    exact vector bytes break the remaining ties."""
     lams = [complex(l) for l in lams]
-    parts = [0 if kappa_member else 1, round(-min(abs(l) for l in lams), 6)]
-    for lam in lams:
-        parts.extend((round(-lam.real, 6), round(-lam.imag, 6)))
-    return tuple(parts)
-
-
-def _sort_tail(vector):
-    """The vector part of an entry's sort key: the components rounded as
-    numpy floats (``np.round`` of an array rounds each entry as ``round``
-    does a numpy float), then the exact bytes."""
-    parts = np.round(-np.concatenate([vector.real, vector.imag]), 6)
-    return tuple(parts.tolist()) + (vector.tobytes(),)
-
-
-def _entry_order(heads, vectors):
-    """Indices sorted by head + tail, with the tail formed only for the
-    entries whose heads tie: the same order as the full key."""
-    ties = collections.Counter(heads)
-
-    def key(i):
-        if ties[heads[i]] > 1:
-            return heads[i], _sort_tail(vectors[i])
-        return (heads[i],)
-
-    return sorted(range(len(heads)), key=key)
+    head = [0 if kappa_member else 1, round(-min(abs(l) for l in lams), 6)]
+    head += [round(-part, 6) for lam in lams for part in (lam.real, lam.imag)]
+    tail = (-np.concatenate((vector.real, vector.imag))).round(6).tolist()
+    return tuple(head + tail + [vector.tobytes()])
 
 
 def common_eigenvectors(collection, tol=numeric.CLUSTER_TOL):
@@ -404,8 +380,8 @@ def _common_eigenvectors(collection, tol):
     candidates = V.T[kept]
 
     kappa_flags = np.all(np.abs(np.abs(table) - 1.0) <= tol, axis=1)
-    order = _entry_order(
-        [_sort_head(row, flag) for row, flag in zip(table, kappa_flags)], candidates)
+    order = sorted(range(len(candidates)), key=lambda i: _sort_key(
+        table[i], kappa_flags[i], candidates[i]))
     vectors = [candidates[i] for i in order]
     table = table[order]
     kappa = int(kappa_flags.sum())

@@ -39,9 +39,6 @@ class Word:
     def p(self):
         return len(self.letters)
 
-    def covers_all(self, N):
-        return set(self.letters) >= set(range(N))
-
     def present_letters(self):
         return tuple(sorted(set(self.letters)))
 

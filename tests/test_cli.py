@@ -343,10 +343,11 @@ EX2_X = "2,0,2,0,0,0"
     ["analyze", "--query", 'limit --word "AB'],
     ["q2", "--tau", "seed:-1", "--x", EX2_X],
     ["analyze", "--query", f"q2 --tau seed:-1 --x {EX2_X}"],
+    ["limit", "--word", "AB", "--x", "2,0,,2,0,0,0"],
 ], ids=["limit-max-iter", "period-max-iter", "cone-limit-max-iter",
         "q2-budget", "tol-negative", "tol-nan", "bound-inf", "rho-tol-zero",
         "analyze-q2-budget", "analyze-unbalanced-quote", "q2-seed-negative",
-        "analyze-q2-seed-negative"])
+        "analyze-q2-seed-negative", "x-empty-field"])
 def test_bad_flag_value_exit_2(ex2_path, argv):
     code, out, err = run_cli([argv[0], ex2_path] + argv[1:])
     assert code == 2
@@ -355,9 +356,9 @@ def test_bad_flag_value_exit_2(ex2_path, argv):
 
 @pytest.mark.parametrize("options", [
     {"max_iter": "x"}, {"max_iter": 0}, {"tol": True}, {"modulus_tol": -1e-8},
-    {"rho_tol": "nan"}, {"bound": "1e400"},
+    {"rho_tol": "nan"}, {"bound": "1e400"}, {"tolerence": 1e-3},
 ], ids=["max-iter-text", "max-iter-zero", "tol-bool", "modulus-tol-negative",
-        "rho-tol-nan", "bound-overflow"])
+        "rho-tol-nan", "bound-overflow", "tol-misspelled"])
 def test_bad_document_option_exit_2(tmp_path, options):
     path = write_doc(tmp_path, "opts.json", ENTRIES["example7"].collection,
                      options=options)
@@ -381,8 +382,12 @@ def _boolean_entry(doc):
     doc["matrices"]["A"][0][0] = True
 
 
+def _misspelled_options(doc):
+    doc["option"] = {"tol": 1e-3}
+
+
 @pytest.mark.parametrize("mutate", [_set_dimension, _ragged_row, _huge_integer,
-                                    _boolean_entry])
+                                    _boolean_entry, _misspelled_options])
 def test_malformed_document_exit_2(tmp_path, mutate):
     path = write_doc(tmp_path, "bad.json", ENTRIES["example7"].collection,
                      mutate=mutate)
@@ -406,6 +411,19 @@ def test_validate_runs_once_per_run(ex2_path, monkeypatch, argv):
     code, _, _ = run_cli([argv[0], ex2_path] + argv[1:] + ["--format", "machine"])
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mutate,named,accepted", [
+    (_misspelled_options, "'option'", "dimension, matrices, options"),
+    (lambda doc: doc.update(options={"tolerence": 1e-3}), "'tolerence'",
+     "tol, modulus_tol, rho_tol, max_iter, bound"),
+], ids=["document", "options"])
+def test_unknown_key_names_the_accepted_keys(tmp_path, mutate, named, accepted):
+    path = write_doc(tmp_path, "keys.json", ENTRIES["example7"].collection,
+                     mutate=mutate)
+    code, out, err = run_cli(["validate", path])
+    assert code == 2 and out == ""
+    assert named in err and accepted in err
 
 
 def test_string_row_exit_2(tmp_path):

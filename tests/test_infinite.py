@@ -20,7 +20,7 @@ def test_prefix_basics():
     assert tau.prefix(3).letters == (0, 1, 0)
     assert tau.prefix(1).letters == (0,)
     assert tau.m == 2
-    assert tau.prefix(tau.m).covers_all(2)
+    assert set(tau.prefix(tau.m).letters) == {0, 1}
 
 
 def test_prefix_with_preperiod():

@@ -25,8 +25,10 @@ def test_parse_entry_rejects(bad):
 def test_parse_vector():
     v = numeric.parse_vector("2,0,1/2")
     np.testing.assert_allclose(v, [2.0, 0.0, 0.5])
-    with pytest.raises(ParseError):
-        numeric.parse_vector("")
+    np.testing.assert_array_equal(numeric.parse_vector(" 2 , 0,1/2 "), v)
+    for text, position in [("", 0), ("1,,0", 1), ("1,0,", 2), (",1", 0), ("1, ,0", 1)]:
+        with pytest.raises(ParseError, match=f"empty field at position {position}"):
+            numeric.parse_vector(text)
 
 
 def test_mat_mul_permutation_squares_to_identity():

@@ -2,15 +2,20 @@
 small threshold literal, and the report defaults read the named values.
 Each LAPACK factorisation runs at one documented site, every function
 the benchmark's tracer patches by name exists, and ``__all__`` lists the
-package's public names."""
+package's public names.  The CLI runs with numpy as its only import outside
+the standard library."""
 
 import ast
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import matword
-from matword import numeric, reporting
+import test_golden
+from matword import corpus, numeric, reporting
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "matword"
 
@@ -121,3 +126,44 @@ def test_all_lists_every_public_name():
     public = {name for name, value in vars(matword).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(matword.__all__) == sorted(public)
+
+
+#: a fresh interpreter that refuses every import outside the standard
+#: library, numpy and matword, then runs the corpus and the analyze
+#: command line it is given, printing each exit code
+NUMPY_ONLY = """
+import importlib.abc, io, sys
+
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "matword"}
+
+
+class Refuse(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] not in ALLOWED:
+            raise ModuleNotFoundError(f"{name} is not a runtime dependency")
+        return None
+
+
+sys.meta_path.insert(0, Refuse())
+from matword import cli
+
+for argv in (["paper-examples"], sys.argv[1:]):
+    print(cli.main(argv, stdout=io.StringIO(), stderr=io.StringIO()))
+"""
+
+
+def test_cli_runs_on_numpy_alone(tmp_path):
+    """README and pyproject name numpy as the only runtime dependency."""
+    _, example, flags, queries = test_golden.CASES[0]
+    path = tmp_path / f"{example}.json"
+    path.write_text(test_golden._document(corpus.build_corpus()[example].collection))
+    argv = ["analyze", str(path), *flags]
+    for query in queries:
+        argv += ["--query", query]
+    pythonpath = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), pythonpath])))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
