@@ -10,6 +10,7 @@ and 0**a = 0 for a > 0.  Row sums are the per-coordinate homogeneity
 exponents: f(lam * y)_i = lam ** s_i * f(y)_i.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -78,20 +79,26 @@ class ConeMap:
         return self._monomial(y)
 
     def _monomial(self, y):
-        n = self.matrix.shape[0]
-        out = np.ones(n, dtype=np.float64)
-        for i in range(n):
+        # Python floats: the same libm pow and IEEE products as numpy
+        # scalars, without a numpy scalar per entry.  Where pow overflows
+        # Python raises and numpy gives inf.  With the factor on the left,
+        # a product of two NaNs keeps the factor's NaN, as numpy's does.
+        ys = y.tolist()
+        out = []
+        for row in self.matrix.tolist():
             acc = 1.0
-            for j in range(n):
-                a = self.matrix[i, j]
+            for a, yj in zip(row, ys):
                 if a == 0.0:
                     continue  # y ** 0 == 1, including at y == 0
-                if y[j] == 0.0:
+                if yj == 0.0:
                     acc = 0.0
                     break
-                acc *= y[j] ** a
-            out[i] = 0.0 if acc < TINY else acc
-        return out
+                try:
+                    acc = yj ** a * acc
+                except OverflowError:
+                    acc = math.inf * acc
+            out.append(0.0 if acc < TINY else acc)
+        return np.array(out, dtype=np.float64)
 
 
 def _log_domain(matrix, y):
