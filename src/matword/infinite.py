@@ -307,31 +307,6 @@ def _row_codes(rows, q):
     return codes
 
 
-#: classes are counted by ``np.bincount`` while the q**N possible residue
-#: vectors number at most this many times the prefixes, and by one sort beyond
-_DENSE_CLASSES = 4
-
-
-def _class_counts(codes, size):
-    """(first, counts, labels) for codes in [0, size): for each distinct
-    code, in increasing order, its first index and its count, and for each
-    entry the rank of its code among the distinct ones.
-
-    One ``np.bincount`` pass over the codes when ``size`` is at most
-    ``_DENSE_CLASSES`` times their number, one sort otherwise."""
-    count = len(codes)
-    if size > _DENSE_CLASSES * count:
-        _, first, labels, counts = np.unique(
-            codes, return_index=True, return_inverse=True, return_counts=True)
-        return first, counts, labels.reshape(-1)
-    counts = np.bincount(codes, minlength=size)
-    first = np.full(size, count)
-    np.minimum.at(first, codes, np.arange(count))
-    present = counts > 0
-    rank = np.cumsum(present) - 1
-    return first[present], counts[present], rank[codes]
-
-
 def _choose_prefixes(residue_rows, exponents, q):
     """(chosen, classes) for a (B, N) array of residue vectors Phi(p) mod q
     and the (N, k) integer exponents of the support.
@@ -341,15 +316,16 @@ def _choose_prefixes(residue_rows, exponents, q):
     first index comes first.  ``classes`` are the first indices of the
     residue classes in that group, increasing.
 
-    Only the codes of the residue rows touch every row.  The keys are
-    formed once per class, which is exact because
+    Only the codes of the residue rows and one sort of them touch every
+    row.  The keys are formed once per class, which is exact because
     Phi(p) lambda = (Phi(p) mod q) lambda (mod q), and the classes are
     grouped by key.  The int64 key products stay below N (q - 1)^2, far
     from overflow: q2's float check forms N q matrix powers, so q never
     comes near.
     """
-    codes = _row_codes(residue_rows, q)
-    first, counts, labels = _class_counts(codes, int(q) ** residue_rows.shape[1])
+    _, first, labels, counts = np.unique(
+        _row_codes(residue_rows, q), return_index=True, return_inverse=True,
+        return_counts=True)
     order = np.argsort(first)  # classes by first index
     keys = (residue_rows[first[order]] @ exponents) % q
     groups, group_of = _renumber(_row_codes(keys, q))
@@ -360,7 +336,7 @@ def _choose_prefixes(residue_rows, exponents, q):
     members = order[group_of == winner]
     in_group = np.zeros(len(first), dtype=bool)
     in_group[members] = True
-    return np.flatnonzero(in_group[labels]), first[members]
+    return np.flatnonzero(in_group[labels.reshape(-1)]), first[members]
 
 
 def check_budget(search_budget):
@@ -389,10 +365,10 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
     earliest first prefix.  The key is a function of the residue vector
     Phi(p) mod q, so the B prefixes of a budget fall into at most
     min(B, q**N) residue classes.  One O(B N) pass codes each prefix's
-    residue vector as one exact int64 (:func:`_row_codes`) and counts the
-    classes with their first prefixes, by ``np.bincount`` when q**N is at
-    most a small multiple of B and by one sort otherwise; the keys are
-    then formed and grouped once per class (:func:`_choose_prefixes`).
+    residue vector as one exact int64 (:func:`_row_codes`), and one sort
+    of the codes gives the classes with their counts and first prefixes:
+    O(B N + B log B) array work, with no Python step per prefix.  The keys
+    are then formed and grouped once per class (:func:`_choose_prefixes`).
 
     Floats check one tuple per residue class.  Every letter must fix xi
     under its q-th power, |A_r^q xi - xi| <= tol * (1 + |xi|); then, the
@@ -436,27 +412,24 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
     xi = first.xi
     tol_scale = tol * (1.0 + float(np.max(np.abs(xi))))
 
-    # exponents k with lambda_(r,j) = exp(2 pi i k / q) on the support;
-    # columns off it stay 0, the trivial exponent for absent components.
-    # The distance is np.hypot of the parts, libm's hypot as for a complex
-    # scalar's abs; np.abs of a complex array can differ in the last bit.
-    support_list = list(support)
-    values = system.lambda_table[support_list]
-    exponents = np.round(q * np.angle(values) / (2 * np.pi)).astype(np.int64) % q
-    miss = values - np.exp(1j * (2 * np.pi * exponents / q))
-    off = np.hypot(miss.real, miss.imag) > numeric.ORDER_TOL
-    if off.any():
-        j, r = np.argwhere(off)[0].tolist()
-        raise NotRootOfUnity(
-            f"eigenvalue {values[j, r]} of matrix {collection.names[r]} is not "
-            f"a {q}-th root of unity"
-        )
     lambdas = np.zeros((collection.N, kappa), dtype=np.int64)
-    lambdas[:, support_list] = exponents.T
+    for j in range(kappa):
+        if j not in support:
+            continue  # column stays 0: trivial exponent for absent components
+        for r in range(collection.N):
+            lam = system.lambda_table[j, r]
+            k = int(round(q * np.angle(lam) / (2 * np.pi))) % q
+            if abs(lam - np.exp(2j * np.pi * k / q)) > numeric.ORDER_TOL:
+                raise NotRootOfUnity(
+                    f"eigenvalue {lam} of matrix {collection.names[r]} is not "
+                    f"a {q}-th root of unity"
+                )
+            lambdas[r, j] = k
 
     table = phi_table(tau, m + search_budget - 1)
     residue_rows = table[m:] % q
-    chosen, classes = _choose_prefixes(residue_rows, exponents.T, q)
+    # columns off the support are 0 and add nothing to the keys
+    chosen, classes = _choose_prefixes(residue_rows, lambdas[:, list(support)], q)
     if len(chosen) < 2:
         raise BudgetExhausted(
             f"no repeated orbit tuple among {search_budget} prefixes; "

@@ -386,11 +386,7 @@ def _common_eigenvectors(collection, tol):
     table = table[order]
     kappa = int(kappa_flags.sum())
 
-    # literal conjugate pairs: _pair_conjugate_subspaces makes the two
-    # members conjugate exactly, so the test is exact equality.  The second
-    # member is then rewritten as the conjugate of the first, which only
-    # flips the sign of its zero imaginary parts (the pivot entry's, a real
-    # eigenvalue's), so that the pair is conjugate bit for bit.
+    # literal conjugate pairs; enforce exact conjugacy on the second member
     s2 = []
     used = set()
     for s1 in range(len(vectors)):
@@ -399,12 +395,11 @@ def _common_eigenvectors(collection, tol):
         v1 = vectors[s1]
         if np.max(np.abs(v1.imag)) <= numeric.CONJ_TOL:
             continue
-        conj = np.conj(v1)
         for s2_idx in range(s1 + 1, len(vectors)):
             if s2_idx in used:
                 continue
-            if np.array_equal(conj, vectors[s2_idx]):
-                vectors[s2_idx] = conj
+            if np.max(np.abs(np.conj(v1) - vectors[s2_idx])) <= numeric.CONJ_TOL:
+                vectors[s2_idx] = np.conj(v1)
                 table[s2_idx] = np.conj(table[s1])
                 s2.append((s1, s2_idx))
                 used.update((s1, s2_idx))

@@ -5,8 +5,8 @@ The oracles are the straightforward per-element forms: the sequential
 prefix chain M_p = A_{tau_p} M_{p-1} with the greedy tuple grouping
 (against q2's integer keys and, within the tuple tolerance, its residue
 class tuples), the per-prefix dict loop that grouped q2's keys and
-classes (against the per-class selection), q2's exponent table one entry
-at a time, the class tuples' products looped one at a time,
+classes (against the per-class selection), the class tuples' products
+looped one at a time,
 per-letter count tables, one letter map at a time, the monomial form in
 numpy scalars, and the
 fixed-point loop written with the numpy reductions.  A collection's
@@ -18,7 +18,6 @@ Python ``round`` at a time, and the one-column refinement step against
 the rank decision of ``numeric.rank_and_nullspace``.
 """
 
-import dataclasses
 import io
 import json
 import math
@@ -34,7 +33,7 @@ from helpers import bits_equal, random_commuting_collection, random_covering_wor
 from matword import (cli, conemaps, corpus, infinite, numeric, reporting, spectral,
                      structure, words)
 from matword.collection import MatrixCollection
-from matword.exceptions import BudgetExhausted, NotRootOfUnity
+from matword.exceptions import BudgetExhausted
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402
@@ -165,16 +164,12 @@ def pooled_rows(rng, count, width, q, pool):
     return rows[rng.integers(0, pool, size=count)]
 
 
-#: name -> (budget B, N, kappa, q, distinct residue rows drawn from); the
-#: classes are counted by bincount exactly when q**N <= 4 B
+#: name -> (budget B, N, kappa, q, distinct residue rows drawn from)
 SELECTION_CASES = {
     "small": (60, 2, 3, 5, 12),
     "kappa-0": (30, 2, 0, 4, 3),
     "all-distinct": (50, 3, 3, 7, None),
-    "bincount-edge": (16, 3, 2, 4, 9),
-    "sort-edge": (15, 3, 2, 4, 9),
     "max-budget": (infinite.MAX_BUDGET, 3, 5, 6, 150),
-    "max-budget-sorted": (infinite.MAX_BUDGET, 4, 5, 40, 700),
     "q^kappa-past-2^62": (5000, 2, 3, 2**40, 300),
     "q-past-2^62/B": (3000, 2, 2, 2**61, 100),
 }
@@ -186,14 +181,12 @@ def test_selection_matches_dict_oracle(name, seed, monkeypatch):
     """The per-class selection picks exactly the dict loop's prefixes and
     class representatives from residue rows and exponents, the loop fed
     the exact key rows: random group sizes, and every class repeated three
-    times.  The classes are counted by bincount or by one sort as q**N
-    decides, and where q**N or q**kappa passes 2^62 the codes are
-    renumbered on the way."""
+    times.  Where q**N or q**kappa passes 2^62 the codes are renumbered on
+    the way."""
     B, N, kappa, q, pool = SELECTION_CASES[name]
     rng = np.random.default_rng(seed)
-    coding, renumbered, dense = [], [], []
+    coding, renumbered = [], []
     row_codes, renumber = infinite._row_codes, infinite._renumber
-    class_counts = infinite._class_counts
 
     def coded(rows, q):
         coding.append(True)
@@ -206,13 +199,8 @@ def test_selection_matches_dict_oracle(name, seed, monkeypatch):
         renumbered.extend(coding)  # the codes' renumbering, not the grouping's
         return renumber(values)
 
-    def sided(codes, size):
-        dense.append(size <= infinite._DENSE_CLASSES * len(codes))
-        return class_counts(codes, size)
-
     monkeypatch.setattr(infinite, "_row_codes", coded)
     monkeypatch.setattr(infinite, "_renumber", counted)
-    monkeypatch.setattr(infinite, "_class_counts", sided)
     # exponents small enough that the int64 key products cannot overflow
     exponents = rng.integers(0, min(q, 2**63 // (N * q)), size=(N, kappa))
     residues = pooled_rows(rng, B, N, q, pool)
@@ -221,7 +209,6 @@ def test_selection_matches_dict_oracle(name, seed, monkeypatch):
     for rows in (residues, tied):
         keys = exact_keys(rows, exponents, q)
         assert class_selection(rows, exponents, q) == dict_selection(keys, rows)
-    assert dense == [q**N <= 4 * len(rows) for rows in (residues, tied)]
     assert bool(renumbered) == (q**N > 2**62 or q**kappa > 2**62)
 
 
@@ -239,34 +226,15 @@ TIED_CLASSES = {
 
 
 @pytest.mark.parametrize("name", sorted(TIED_CLASSES))
-@pytest.mark.parametrize("size", ["bincount", "sort"])
-def test_tied_key_groups_of_different_classes(name, size, monkeypatch):
+def test_tied_key_groups_of_different_classes(name):
     """Two key groups of equal total count, made of different residue
     classes: the group of the earliest first prefix wins, whichever holds
     the largest class, and its classes come in first-prefix order."""
     rows, chosen, classes = TIED_CLASSES[name]
-    if size == "sort":
-        monkeypatch.setattr(infinite, "_DENSE_CLASSES", 0)
     residues, exponents = np.array(rows), np.array([[1], [1]])
     assert class_selection(residues, exponents, 3) == (chosen, classes)
     assert dict_selection(exact_keys(residues, exponents, 3), residues) == (
         chosen, classes)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_class_counts_agree_on_both_sides(seed):
-    """bincount and the sort give every class's first index and count and
-    every entry's class rank alike."""
-    rng = np.random.default_rng(seed)
-    size = int(rng.integers(1, 50))
-    codes = rng.integers(0, size, size=int(rng.integers(1, 200)))
-    dense = infinite._class_counts(codes, size)
-    sparse = infinite._class_counts(codes, 10**9)
-    _, first, labels, counts = np.unique(
-        codes, return_index=True, return_inverse=True, return_counts=True)
-    for got in (dense, sparse):
-        assert [a.tolist() for a in got] == [first.tolist(), counts.tolist(),
-                                             labels.ravel().tolist()]
 
 
 def test_row_codes_keep_rows_apart_past_int64():
@@ -299,63 +267,6 @@ def test_q2_at_max_budget_matches_dict_oracle():
     assert len(cert.p_gammas) == 50_000
     assert cert.p_gammas == tuple(cert.m + i for i in best)
     assert cert.verify(tau)
-
-
-def looped_exponents(system, support, q, names, letter_major=False):
-    """``(lambdas, None)``, or ``(None, text)`` of the first NotRootOfUnity:
-    the exponent table one entry at a time from the scalar angle and root,
-    support index outer and letter inner (or the other way round)."""
-    lambdas = np.zeros((len(names), system.kappa), dtype=np.int64)
-    entries = [(j, r) for j in support for r in range(len(names))]
-    if letter_major:
-        entries.sort(key=lambda entry: entry[1])
-    for j, r in entries:
-        lam = system.lambda_table[j, r]
-        k = int(round(q * np.angle(lam) / (2 * np.pi))) % q
-        if abs(lam - np.exp(2j * np.pi * k / q)) > numeric.ORDER_TOL:
-            return None, (f"eigenvalue {lam} of matrix {names[r]} is not "
-                          f"a {q}-th root of unity")
-        lambdas[r, j] = k
-    return lambdas, None
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_exponents_match_the_per_entry_loop(seed, monkeypatch):
-    """q2's exponent table, formed as one array expression, equals the
-    per-entry loop, and a modulus-one eigenvalue moved off its root by
-    about ORDER_TOL raises the loop's first NotRootOfUnity text, also where
-    a letter-major scan would meet another entry first."""
-    rng = np.random.default_rng(700 + seed)
-    common, moved = structure.common_eigenvectors, {}
-    monkeypatch.setattr(structure, "common_eigenvectors",
-                        lambda c, **kw: moved["system"])
-    raised = letter_major_differs = 0
-    for coll, tau, x, _ in q2_cases(seed):
-        system = common(coll)
-        table = system.lambda_table.copy()
-        block = table[:system.kappa]
-        offsets = rng.choice([0.0, 5e-9, 0.999e-8, 1.001e-8, 2e-8, 1e-3], size=block.shape)
-        offsets[rng.random(block.shape) < 0.7] = 0.0
-        block += offsets * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=block.shape))
-        table.setflags(write=False)
-        moved_system = moved["system"] = dataclasses.replace(system, lambda_table=table)
-        try:
-            cert = infinite.q2_certificate(coll, tau, x, search_budget=3)
-        except BudgetExhausted:
-            continue
-        except NotRootOfUnity as exc:
-            coeffs = structure.lc_membership(x, moved_system, tol=numeric.LC_TOL)
-            scale = numeric.LC_TOL * (1.0 + float(np.max(np.abs(x))))
-            support = [j for j in range(system.kappa) if abs(coeffs.alphas[j]) > scale]
-            names, q = coll.names, words.global_period(coll).q
-            assert str(exc) == looped_exponents(moved_system, support, q, names)[1]
-            letter_major_differs += str(exc) != looped_exponents(
-                moved_system, support, q, names, letter_major=True)[1]
-            raised += 1
-        else:
-            expected, _ = looped_exponents(moved_system, cert.support, cert.q, coll.names)
-            assert np.array_equal(cert.lambdas, expected)
-    assert raised and letter_major_differs
 
 
 def looped_class_tuple(matrices, xi, q, e):
