@@ -5,11 +5,13 @@ more queries, one report.  Words are strings of matrix names with the
 leftmost letter applied first; the report always spells out the factor
 order of the product so the right-to-left convention is visible.
 
-Exit codes: 0 success, 2 input error, 3 hypotheses not met (override
-with --force), 4 non-convergence or exhausted search budget.
+Exit codes: 0 success, 1 a ``paper-examples`` check failed, 2 input
+error, 3 hypotheses not met (override with --force), 4 non-convergence
+or exhausted search budget.
 """
 
 import argparse
+import dataclasses
 import shlex
 import sys
 
@@ -74,27 +76,17 @@ class _QueryContext:
         self.settings = settings
         self.validation = validation
 
-    @property
-    def system(self):
-        return structure.common_eigenvectors(self.collection,
-                                             tol=self.settings.modulus_tol)
-
-    def word_period(self, word):
-        return words.word_period(self.collection, word,
-                                 rho_tol=self.settings.rho_tol)
-
 
 def query_limit(ctx, args):
     word = _word_from_arg(args.word, ctx.collection)
     x = _vector_arg(args.x, ctx.collection.n, "--x")
-    cert = ctx.word_period(word)
+    cert = words.word_period(ctx.collection, word, rho_tol=ctx.settings.rho_tol)
     result = words.limit_point(
         ctx.collection, word, x, cert.q,
         tol=ctx.settings.tol, max_iter=ctx.settings.max_iter,
         bound=ctx.settings.bound,
     )
     fragment = {
-        "query": "limit",
         "word": word.names(ctx.collection),
         "factor_order": _factor_order(word, ctx.collection),
         "x": reporting.vector_to_doc(x),
@@ -110,17 +102,10 @@ def query_limit(ctx, args):
         fragment["xi"] = reporting.vector_to_doc(result.xi)
         M = words.word_product(ctx.collection, word)
         try:
-            fragment["period"] = words.point_period(M, result.xi, cert.q,
-                                                    tol=ctx.settings.modulus_tol)
+            fragment["period"] = words.point_period(M, result.xi, cert.q)
         except NotPeriodic as exc:
             fragment["period_error"] = str(exc)
             ok = False
-    return fragment, ok
-
-
-def query_period(ctx, args):
-    fragment, ok = query_limit(ctx, args)
-    fragment["query"] = "period"
     return fragment, ok
 
 
@@ -129,14 +114,13 @@ def query_cone_limit(ctx, args):
     y = _vector_arg(args.y, ctx.collection.n, "--y")
     if np.any(y <= 0):
         raise ParseError("--y must be strictly positive (interior point)")
-    cert = ctx.word_period(word)
+    cert = words.word_period(ctx.collection, word, rho_tol=ctx.settings.rho_tol)
     result = conemaps.cone_limit(
         ctx.collection, word, y, cert.q,
         tol=ctx.settings.tol, max_iter=ctx.settings.max_iter,
-        bound=ctx.settings.bound, system=ctx.system,
+        bound=ctx.settings.bound,
     )
     fragment = {
-        "query": "cone-limit",
         "word": word.names(ctx.collection),
         "factor_order": _factor_order(word, ctx.collection),
         "y": reporting.vector_to_doc(y),
@@ -149,15 +133,13 @@ def query_cone_limit(ctx, args):
     }
     if result.converged:
         fragment["eta"] = reporting.vector_to_doc(result.eta)
-        period = conemaps.cone_point_period(ctx.collection, word, result.eta,
-                                            cert.q, tol=ctx.settings.modulus_tol)
-        fragment["period"] = period
+        fragment["period"] = conemaps.cone_point_period(ctx.collection, word,
+                                                        result.eta, cert.q)
     return fragment, result.converged
 
 
 def query_classify(ctx, args):
     return {
-        "query": "classify",
         "classification": ctx.validation["classification"],
         "pair_classifications": ctx.validation["pair_classifications"],
         "tolerances": ctx.settings.as_dict(),
@@ -165,12 +147,9 @@ def query_classify(ctx, args):
 
 
 def query_eigensystem(ctx, args):
-    fragment = {
-        "query": "eigensystem",
-        "tolerances": ctx.settings.as_dict(),
-    }
-    fragment.update(reporting.eigensystem_to_doc(ctx.system))
-    return fragment, True
+    system = structure.common_eigenvectors(ctx.collection)
+    return {"tolerances": ctx.settings.as_dict(),
+            **reporting.eigensystem_to_doc(system)}, True
 
 
 def query_q2(ctx, args):
@@ -184,12 +163,10 @@ def query_q2(ctx, args):
                              f"{infinite.MAX_BUDGET}") from None
     cert = infinite.q2_certificate(
         ctx.collection, tau, x,
-        search_budget=args.budget,
-        tol=ctx.settings.modulus_tol, limit_tol=ctx.settings.tol,
+        search_budget=args.budget, limit_tol=ctx.settings.tol,
         rho_tol=ctx.settings.rho_tol,
     )
     fragment = {
-        "query": "q2",
         "tau": tau.description(),
         "x": reporting.vector_to_doc(x),
         "q": cert.q,
@@ -209,12 +186,14 @@ _WORD = ("--word", {"required": True,
                    "help": "string of matrix names, leftmost applied first"})
 _X = ("--x", {"required": True, "help": "comma-separated vector"})
 
-#: query name -> (handler, help, argument specs); both the subcommands and
-#: the ``analyze --query`` strings are parsed from these specs
+#: query name -> (handler, help, argument specs); a handler returns
+#: (fragment, ok) and ``main`` puts the query name first in the fragment;
+#: both the subcommands and the ``analyze --query`` strings are parsed
+#: from these specs
 QUERIES = {
     "limit": (query_limit, "limit of x under q-blocks of a word product",
               [_WORD, _X]),
-    "period": (query_period, "limit and exact period of the limit point",
+    "period": (query_limit, "limit and exact period of the limit point",
                [_WORD, _X]),
     "cone-limit": (query_cone_limit, "limit under the exp/log conjugated map", [
         _WORD,
@@ -357,10 +336,8 @@ def main(argv=None, stdout=None, stderr=None):
         source = sys.stdin if args.input == "-" else args.input
         collection, options = reporting.load_collection(source)
         settings = reporting.settings_from_options(options, {
-            "tol": args.tol,
-            "rho_tol": args.rho_tol,
-            "max_iter": args.max_iter,
-            "bound": args.bound,
+            field.name: getattr(args, field.name)
+            for field in dataclasses.fields(reporting.ToleranceSettings)
         })
         validation = reporting.validate(collection, settings)
     except (MatwordError, OSError) as exc:
@@ -412,7 +389,7 @@ def main(argv=None, stdout=None, stderr=None):
             })
             exit_code = EXIT_NONCONVERGENCE
             continue
-        report["queries"].append(fragment)
+        report["queries"].append({"query": name, **fragment})
         if not ok:
             exit_code = EXIT_NONCONVERGENCE
     _emit(report, args.format, stdout)

@@ -81,11 +81,13 @@ class ConeMap:
     def _monomial(self, y):
         # Python floats: the same libm pow and IEEE products as numpy
         # scalars, without a numpy scalar per entry.  Where pow overflows
-        # Python raises and numpy gives inf.  With the factor on the left,
-        # a product of two NaNs keeps the factor's NaN, as numpy's does.
+        # Python raises and numpy gives inf.  Which NaN a product of two
+        # NaNs keeps depends on whether CPython has specialised the
+        # multiply, so a NaN row is formed again with numpy scalars, whose
+        # operand order is fixed.
         ys = y.tolist()
         out = []
-        for row in self.matrix.tolist():
+        for i, row in enumerate(self.matrix.tolist()):
             acc = 1.0
             for a, yj in zip(row, ys):
                 if a == 0.0:
@@ -97,6 +99,13 @@ class ConeMap:
                     acc = yj ** a * acc
                 except OverflowError:
                     acc = math.inf * acc
+            if acc != acc:  # a NaN row has no zero y_j under a nonzero a
+                acc = 1.0
+                with np.errstate(all="ignore"):
+                    for a, yj in zip(self.matrix[i], y):
+                        if a != 0.0:
+                            acc *= yj ** a
+                acc = float(acc)
             out.append(0.0 if acc < TINY else acc)
         return np.array(out, dtype=np.float64)
 

@@ -378,7 +378,7 @@ def check_example2(entry, sampled_words=("AB", "BA", "ABB", "AAB", "ABAB")):
     for text in sampled_words:
         w = words.Word.from_names(text, coll)
         M = words.word_product(coll, w)
-        period = words.point_period(M, x, cert.q, tol=1e-8)
+        period = words.point_period(M, x, cert.q)
         _check(period <= 2 < cert.q, f"period {period} for word {text}")
         # odd-length covering words realise the exact period 2; even ones
         # cancel the two -1 multipliers and fix x
@@ -399,7 +399,7 @@ def check_example3(entry):
         M6 = numeric.mat_power(M, 6)
         _check(np.max(np.abs(numeric.mat_vec(M6, x) - x)) <= 1e-8,
                f"(A_w)^6 x != x for word {text}")
-        period = words.point_period(M, x, cert.q, tol=1e-8)
+        period = words.point_period(M, x, cert.q)
         # the third word applies the swap-block letter twice per pass; the
         # squared -1 multiplier drops its exact period to 3, while the words
         # with an odd count of that letter realise the full period 6
@@ -421,11 +421,11 @@ def check_example4(entry):
     x = np.real(entry.vectors["v1"] + entry.vectors["v2"])
     for text in ("ABB", "AAB", "BAB"):
         M = words.word_product(coll, words.Word.from_names(text, coll))
-        _check(words.point_period(M, x, cert.q, tol=1e-8) == 2,
+        _check(words.point_period(M, x, cert.q) == 2,
                f"period != 2 for word {text}")
     for text in ("AB", "BA"):
         M = words.word_product(coll, words.Word.from_names(text, coll))
-        _check(words.point_period(M, x, cert.q, tol=1e-8) == 1,
+        _check(words.point_period(M, x, cert.q) == 1,
                f"even-length word {text} must fix x")
 
 
@@ -439,7 +439,7 @@ def check_example5(entry):
     x = entry.data["x"]
     for text in ("AB", "BA", "ABB"):
         M = words.word_product(coll, words.Word.from_names(text, coll))
-        _check(words.point_period(M, x, cert.q, tol=1e-8) == 6,
+        _check(words.point_period(M, x, cert.q) == 6,
                f"period != 6 for word {text}")
 
 

@@ -28,7 +28,11 @@ COVERAGE_SCAN_CAP = 100_000
 
 
 class _SeededStream:
-    """Deterministic pseudo-random letter source, grown lazily."""
+    """Deterministic pseudo-random letter source, grown lazily.
+
+    The cache grows by blocks ``rng.integers(0, N, size=k)``, k doubling,
+    which draw the same letters as k scalar draws ``rng.integers(0, N)``.
+    """
 
     def __init__(self, seed, N):
         self.seed = int(seed)
@@ -38,7 +42,8 @@ class _SeededStream:
 
     def letter(self, i):
         while len(self._cache) <= i:
-            self._cache.append(int(self._rng.integers(0, self.N)))
+            block = max(len(self._cache), 64)
+            self._cache.extend(self._rng.integers(0, self.N, size=block).tolist())
         return self._cache[i]
 
     def letters(self, start, count):

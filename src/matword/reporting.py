@@ -21,9 +21,8 @@ from .exceptions import ParseError
 class ToleranceSettings:
     """The knobs every analysis threads through, echoed into reports."""
 
-    tol: float = numeric.CONVERGENCE_TOL     # iteration convergence / agreement
-    modulus_tol: float = numeric.CLUSTER_TOL # eigenvalue clustering, "modulus one"
-    rho_tol: float = numeric.CLUSTER_TOL     # band for spectral radius one
+    tol: float = numeric.CONVERGENCE_TOL  # iteration convergence / agreement
+    rho_tol: float = numeric.CLUSTER_TOL  # band for spectral radius one
     max_iter: int = numeric.MAX_ITER
     bound: float = numeric.BOUND
 

@@ -250,7 +250,7 @@ def spectral_limit(system, coeffs):
     return np.real(out)
 
 
-def point_period(M, xi, q, tol=numeric.CONVERGENCE_TOL):
+def point_period(M, xi, q, tol=numeric.TUPLE_TOL):
     """Smallest divisor d of q with M^d xi = xi (sup-norm tolerance).
 
     Raises :class:`~matword.exceptions.NotPeriodic` when even d = q fails,

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from matword import cli, corpus, reporting
+from matword import cli, corpus, reporting, structure
 
 ENTRIES = corpus.build_corpus()
 
@@ -272,6 +272,12 @@ def test_paper_examples_filter():
     assert [row["example"] for row in report["corpus"]] == ["example7"]
 
 
+def test_paper_examples_filter_without_match_exit_2():
+    code, _, err = run_cli(["paper-examples", "--filter", "nomatch"])
+    assert code == 2
+    assert err == "no example matches filter 'nomatch'\n"
+
+
 def test_corrupted_example2_detected():
     # perturb one entry of the embedded example-2 matrix: the frozen
     # eigenvalue data no longer matches and the check must fail
@@ -309,6 +315,57 @@ def test_forced_supercritical_limit_exit_4(tmp_path):
     assert "SpectralRadiusViolation" in fragment["error"]
 
 
+def test_limit_that_is_not_periodic_exit_4(tmp_path):
+    # at --tol 0.5 the limit stops short of the fixed point, so the
+    # period check at TUPLE_TOL fails and the fragment records why
+    path = write_doc(tmp_path, "ex7.json", ENTRIES["example7"].collection)
+    code, out, _ = run_cli(["limit", path, "--word", "AB", "--x", "2,-1",
+                            "--tol", "0.5", "--force", "--format", "machine"])
+    assert code == 4
+    fragment = json.loads(out)["queries"][0]
+    assert fragment["status"] == "converged" and "period" not in fragment
+    assert fragment["period_error"].startswith("vector is not 1-periodic")
+
+
+def test_quasi_commuting_pair_classifies_without_force(tmp_path):
+    # A = E12 + [1], B = E23 + [1]: [A, B] = E13 has rank one and commutes
+    # with both letters
+    A, B = np.zeros((4, 4)), np.zeros((4, 4))
+    A[0, 1] = B[1, 2] = A[3, 3] = B[3, 3] = 1.0
+    path = tmp_path / "quasi.json"
+    path.write_text(json.dumps({"dimension": 4, "matrices": {
+        "A": A.tolist(), "B": B.tolist()}}))
+    code, out, _ = run_cli(["classify", str(path), "--format", "machine"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["validation"]["hypotheses_met"] is True
+    fragment = report["queries"][0]
+    assert fragment["classification"] == "quasi-commuting"
+    assert fragment["pair_classifications"][0]["commutator_rank"] == 1
+
+
+def test_one_common_eigensystem_per_report(ex2_path, monkeypatch):
+    """eigensystem, cone-limit and q2 read one E', so one report prints
+    one kappa."""
+    calls = []
+    original = structure._common_eigenvectors
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "_common_eigenvectors", counting)
+    code, out, _ = run_cli([
+        "analyze", ex2_path, "--query", "eigensystem",
+        "--query", "cone-limit --word AB --y 1,2,1,2,3,1",
+        "--query", f"q2 --tau periodic:AB --x {EX2_X}", "--format", "machine",
+    ])
+    assert code == 0
+    assert len(calls) == 1
+    eigensystem, _, q2 = json.loads(out)["queries"]
+    assert eigensystem["kappa"] == q2["kappa"] == 2
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "matword.cli", "paper-examples",
@@ -344,16 +401,25 @@ EX2_X = "2,0,2,0,0,0"
     ["q2", "--tau", "seed:-1", "--x", EX2_X],
     ["analyze", "--query", f"q2 --tau seed:-1 --x {EX2_X}"],
     ["limit", "--word", "AB", "--x", "2,0,,2,0,0,0"],
+    ["limit", "--word", "AZ", "--x", EX2_X],
+    ["limit", "--word", "AB", "--x", "2,0,2"],
+    ["cone-limit", "--word", "AB", "--y", "1,1,0,1,1,1"],
+    ["q2", "--tau", "periodic:", "--x", EX2_X],
+    ["q2", "--tau", "seed:x", "--x", EX2_X],
+    ["q2", "--tau", "tau:AB", "--x", EX2_X],
 ], ids=["limit-max-iter", "period-max-iter", "cone-limit-max-iter",
         "q2-budget", "tol-negative", "tol-nan", "bound-inf", "rho-tol-zero",
         "analyze-q2-budget", "analyze-unbalanced-quote", "q2-seed-negative",
-        "analyze-q2-seed-negative", "x-empty-field"])
+        "analyze-q2-seed-negative", "x-empty-field", "word-unknown-letter",
+        "x-wrong-length", "y-zero-entry", "tau-empty-cycle", "tau-seed-text",
+        "tau-unknown-kind"])
 def test_bad_flag_value_exit_2(ex2_path, argv):
     code, out, err = run_cli([argv[0], ex2_path] + argv[1:])
     assert code == 2
     assert out == "" and err.startswith("input error:")
 
 
+# modulus_tol is no longer an option, so any value of it is an unknown key
 @pytest.mark.parametrize("options", [
     {"max_iter": "x"}, {"max_iter": 0}, {"tol": True}, {"modulus_tol": -1e-8},
     {"rho_tol": "nan"}, {"bound": "1e400"}, {"tolerence": 1e-3},
@@ -416,7 +482,7 @@ def test_validate_runs_once_per_run(ex2_path, monkeypatch, argv):
 @pytest.mark.parametrize("mutate,named,accepted", [
     (_misspelled_options, "'option'", "dimension, matrices, options"),
     (lambda doc: doc.update(options={"tolerence": 1e-3}), "'tolerence'",
-     "tol, modulus_tol, rho_tol, max_iter, bound"),
+     "tol, rho_tol, max_iter, bound"),
 ], ids=["document", "options"])
 def test_unknown_key_names_the_accepted_keys(tmp_path, mutate, named, accepted):
     path = write_doc(tmp_path, "keys.json", ENTRIES["example7"].collection,

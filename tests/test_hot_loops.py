@@ -21,8 +21,10 @@ the rank decision of ``numeric.rank_and_nullspace``.
 import io
 import json
 import math
+import os
 import pathlib
 import pickle
+import subprocess
 import sys
 
 import numpy as np
@@ -455,6 +457,27 @@ def test_monomial_bit_equal_to_numpy_scalars(start):
             y = MONOMIAL_STARTS[start](rng, n)
             assert bits_equal(conemaps.ConeMap(M).monomial_apply(y),
                               numpy_scalar_monomial(M, y))
+
+
+#: the NaN sign of the monomial form on the first call of a fresh
+#: interpreter and after CPython has specialised the float multiply
+FRESH_NAN = """
+import numpy as np
+from matword import conemaps
+M, y = np.ones((2, 2)), np.array([np.nan, -np.nan])
+print(*sorted({conemaps.ConeMap(M).monomial_apply(y).tobytes().hex()
+               for _ in range(300)}))
+"""
+
+
+def test_monomial_nan_sign_independent_of_warm_up():
+    src = str(pathlib.Path(conemaps.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-c", FRESH_NAN], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    want = numpy_scalar_monomial(np.ones((2, 2)), np.array([np.nan, -np.nan]))
+    assert proc.stdout.split() == [want.tobytes().hex()]
 
 
 def test_log_domain_step_matches_the_where_form():

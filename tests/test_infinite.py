@@ -43,6 +43,19 @@ def test_seeded_stream_deterministic():
     assert a.description() == "seed:99"
 
 
+@pytest.mark.parametrize("seed", [0, 5, 2024, 123456789])
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 39])
+def test_seeded_stream_blocks_draw_the_scalar_stream(seed, N):
+    """The block-grown cache holds the letters of one scalar draw
+    ``rng.integers(0, N)`` per letter, whatever the order of access."""
+    rng = np.random.default_rng(seed)
+    expected = [int(rng.integers(0, N)) for _ in range(3000)]
+    tau = infinite.InfiniteWord.from_seed(seed, N)
+    assert tau.letter(70) == expected[70]
+    np.testing.assert_array_equal(tau.letters(1000, 2000), expected[1000:])
+    np.testing.assert_array_equal(tau.letters(0, 3000), expected)
+
+
 def test_phi_counts():
     tau = infinite.InfiniteWord.periodic((0, 1), N=2)
     np.testing.assert_array_equal(infinite.phi(tau, 5), [3, 2])

@@ -5,7 +5,9 @@ the benchmark's tracer patches by name exists, and ``__all__`` lists the
 package's public names.  The CLI runs with numpy as its only import outside
 the standard library."""
 
+import argparse
 import ast
+import dataclasses
 import importlib.util
 import os
 import pathlib
@@ -13,9 +15,12 @@ import subprocess
 import sys
 import types
 
+import pytest
+
 import matword
 import test_golden
-from matword import corpus, numeric, reporting
+from matword import cli, corpus, numeric, reporting
+from matword.exceptions import ParseError
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "matword"
 
@@ -64,11 +69,25 @@ def test_no_einsum_outside_numeric():
 def test_tolerance_settings_default_to_the_named_policy():
     assert reporting.ToleranceSettings().as_dict() == {
         "tol": numeric.CONVERGENCE_TOL,
-        "modulus_tol": numeric.CLUSTER_TOL,
         "rho_tol": numeric.CLUSTER_TOL,
         "max_iter": numeric.MAX_ITER,
         "bound": numeric.BOUND,
     }
+
+
+def test_flags_settings_and_option_keys_are_one_set():
+    """The CLI setting flags, the ToleranceSettings fields and the
+    accepted document options are one set of names, so no knob is
+    threaded only part of the way from the command line to the report."""
+    parser = argparse.ArgumentParser()
+    cli._add_common_flags(parser)
+    flags = {action.dest for action in parser._actions} - {"help", "force", "format"}
+    fields = {field.name for field in dataclasses.fields(reporting.ToleranceSettings)}
+    with pytest.raises(ParseError, match="accepted keys are ") as caught:
+        reporting.parse_collection_document(
+            {"dimension": 1, "matrices": {"A": [[1]]}, "options": {"?": 1}})
+    accepted = set(str(caught.value).split("accepted keys are ")[1].split(", "))
+    assert flags == fields == accepted
 
 
 #: the one site of each LAPACK factorisation: (file, function, name)
