@@ -17,8 +17,9 @@ import sys
 
 import numpy as np
 
-from . import (__version__, conemaps, corpus, infinite, numeric, reporting,
-               structure, words)
+# the other submodules are imported by the queries that use them, so a
+# run loads only what its command reaches
+from . import __version__, numeric, reporting, structure
 from .exceptions import MatwordError, NotPeriodic, ParseError
 
 EXIT_OK = 0
@@ -28,6 +29,7 @@ EXIT_NONCONVERGENCE = 4
 
 
 def _word_from_arg(text, collection):
+    from . import words
     try:
         return words.Word.from_names(text, collection)
     except MatwordError as exc:
@@ -35,6 +37,7 @@ def _word_from_arg(text, collection):
 
 
 def _tau_from_arg(text, collection):
+    from . import infinite
     if text.startswith("periodic:"):
         body = text[len("periodic:"):]
         pre, _, cyc = body.rpartition("|")
@@ -78,6 +81,7 @@ class _QueryContext:
 
 
 def query_limit(ctx, args):
+    from . import words
     word = _word_from_arg(args.word, ctx.collection)
     x = _vector_arg(args.x, ctx.collection.n, "--x")
     cert = words.word_period(ctx.collection, word, rho_tol=ctx.settings.rho_tol)
@@ -110,6 +114,7 @@ def query_limit(ctx, args):
 
 
 def query_cone_limit(ctx, args):
+    from . import conemaps, words
     word = _word_from_arg(args.word, ctx.collection)
     y = _vector_arg(args.y, ctx.collection.n, "--y")
     if np.any(y <= 0):
@@ -153,6 +158,7 @@ def query_eigensystem(ctx, args):
 
 
 def query_q2(ctx, args):
+    from . import infinite
     tau = _tau_from_arg(args.tau, ctx.collection)
     x = _vector_arg(args.x, ctx.collection.n, "--x")
     if args.budget is not None:
@@ -160,7 +166,7 @@ def query_q2(ctx, args):
             infinite.check_budget(args.budget)
         except ValueError:
             raise ParseError(f"--budget {args.budget} must be from 1 to "
-                             f"{infinite.MAX_BUDGET}") from None
+                             f"{numeric.MAX_BUDGET}") from None
     cert = infinite.q2_certificate(
         ctx.collection, tau, x,
         search_budget=args.budget, limit_tol=ctx.settings.tol,
@@ -210,7 +216,7 @@ QUERIES = {
         _X,
         ("--budget", {"type": int, "default": None,
                       "help": "prefix evaluation budget, 1 to "
-                              f"{infinite.MAX_BUDGET} (default q**kappa + 1 "
+                              f"{numeric.MAX_BUDGET} (default q**kappa + 1 "
                               "within that cap)"}),
     ]),
 }
@@ -314,7 +320,11 @@ def main(argv=None, stdout=None, stderr=None):
     args = parser.parse_args(argv)
 
     if args.command == "paper-examples":
+        from . import corpus
         results = corpus.run_paper_examples(name_filter=args.filter)
+        if not results:
+            stderr.write(f"no example matches filter {args.filter!r}\n")
+            return EXIT_INPUT
         report = {
             "tool_version": __version__,
             "corpus": [
@@ -327,9 +337,6 @@ def main(argv=None, stdout=None, stderr=None):
         if failures:
             stderr.write(f"first failing example: {failures[0]}\n")
             return 1
-        if not results:
-            stderr.write(f"no example matches filter {args.filter!r}\n")
-            return EXIT_INPUT
         return EXIT_OK
 
     try:

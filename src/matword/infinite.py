@@ -19,9 +19,7 @@ from .exceptions import (
     NotRootOfUnity,
     ParseError,
 )
-
-#: default cap on the number of prefix evaluations
-MAX_BUDGET = 100_000
+from .numeric import MAX_BUDGET
 
 #: scan cap while locating the first-coverage time m of a seeded stream
 COVERAGE_SCAN_CAP = 100_000

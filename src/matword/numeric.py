@@ -10,8 +10,6 @@ Conventions used throughout the package:
   runs on one platform are bit-reproducible.
 """
 
-from fractions import Fraction
-
 import numpy as np
 
 from .exceptions import DimensionMismatch, NonFiniteValue, ParseError
@@ -32,6 +30,7 @@ PIVOT_SLACK = 1e-6       # canonical-phase pivot, relative to the largest entry
 SLACK = 10               # factor for a re-check of a verdict made at a tolerance
 MAX_ITER = 100_000       # iteration cap of every fixed-point loop
 BOUND = 1e12             # divergence bound of every fixed-point loop
+MAX_BUDGET = 100_000     # cap on the prefix evaluations of one q2 search
 
 
 def parse_entry(value):
@@ -44,7 +43,13 @@ def parse_entry(value):
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ParseError(f"unsupported entry type {type(value).__name__!r}")
     try:
-        entry = float(Fraction(value.strip()) if isinstance(value, str) else value)
+        if isinstance(value, str):
+            # imported here: fractions pulls in decimal, and documents
+            # written by programs rarely hold a string entry
+            from fractions import Fraction
+            entry = float(Fraction(value.strip()))
+        else:
+            entry = float(value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"cannot parse matrix entry {value!r}") from exc
     if not np.isfinite(entry):

@@ -208,7 +208,7 @@ def test_one_rho_per_letter_in_one_report(tmp_path):
 @pytest.mark.parametrize("budget, code", [
     ("100001", 2), ("1000000000000", 2), ("100000", 0)])
 def test_q2_budget_cap(tmp_path, budget, code):
-    """A budget above infinite.MAX_BUDGET is an input error, not a failed
+    """A budget above numeric.MAX_BUDGET is an input error, not a failed
     allocation of its letter-count table; the cap itself still runs."""
     path = tmp_path / "swap.json"
     path.write_text(json.dumps({"dimension": 2, "matrices": {
@@ -222,6 +222,18 @@ def test_q2_budget_cap(tmp_path, budget, code):
         assert err == f"input error: --budget {budget} must be from 1 to 100000\n"
     else:
         assert len(json.loads(out)["queries"][0]["p_gammas"]) == 50_000
+
+
+def test_budget_cap_is_named_once(capsys):
+    """The cap lives in ``numeric`` with the other policy constants; the
+    q2 module and the ``--budget`` help read that one value."""
+    from matword import infinite, numeric
+
+    assert infinite.MAX_BUDGET is numeric.MAX_BUDGET
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["q2", "--help"])
+    assert exit_.value.code == 0
+    assert "1 to 100000" in " ".join(capsys.readouterr().out.split())
 
 
 def test_analyze_multiple_queries(ex2_path):
@@ -273,8 +285,9 @@ def test_paper_examples_filter():
 
 
 def test_paper_examples_filter_without_match_exit_2():
-    code, _, err = run_cli(["paper-examples", "--filter", "nomatch"])
+    code, out, err = run_cli(["paper-examples", "--filter", "nomatch"])
     assert code == 2
+    assert out == ""
     assert err == "no example matches filter 'nomatch'\n"
 
 

@@ -9,6 +9,7 @@ import argparse
 import ast
 import dataclasses
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -141,10 +142,17 @@ def test_traced_benchmark_layers_resolve():
 def test_all_lists_every_public_name():
     """``__all__`` is exactly the package's public names that are not
     submodules, so ``from matword import *`` gives every exception and
-    result class, and removing a name from the API updates both lists."""
+    result class.  The namespace is lazy, so every name is resolved first;
+    each then comes from the submodule the export table names."""
+    for name in matword.__all__:
+        getattr(matword, name)
     public = {name for name, value in vars(matword).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(matword.__all__) == sorted(public)
+    assert set(matword.__all__) <= set(dir(matword))
+    for module, names in matword._EXPORTS.items():
+        for name in names:
+            assert getattr(matword, name).__module__ == f"matword.{module}", name
 
 
 #: a fresh interpreter that refuses every import outside the standard
@@ -171,18 +179,64 @@ for argv in (["paper-examples"], sys.argv[1:]):
 """
 
 
-def test_cli_runs_on_numpy_alone(tmp_path):
-    """README and pyproject name numpy as the only runtime dependency."""
-    _, example, flags, queries = test_golden.CASES[0]
+def _golden_document(tmp_path):
+    """Path of the first golden case's document, written under ``tmp_path``."""
+    example = test_golden.CASES[0][1]
     path = tmp_path / f"{example}.json"
     path.write_text(test_golden._document(corpus.build_corpus()[example].collection))
-    argv = ["analyze", str(path), *flags]
-    for query in queries:
-        argv += ["--query", query]
+    return str(path)
+
+
+def _fresh_interpreter(script, *args):
+    """Standard output of ``script`` run with ``args`` in a new interpreter
+    that imports matword from this checkout."""
     pythonpath = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), pythonpath])))
-    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY, *argv],
+    proc = subprocess.run([sys.executable, "-c", script, *args],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0"]
+    return proc.stdout
+
+
+def test_cli_runs_on_numpy_alone(tmp_path):
+    """README and pyproject name numpy as the only runtime dependency."""
+    _, _, flags, queries = test_golden.CASES[0]
+    argv = ["analyze", _golden_document(tmp_path), *flags]
+    for query in queries:
+        argv += ["--query", query]
+    assert _fresh_interpreter(NUMPY_ONLY, *argv).split() == ["0", "0"]
+
+
+#: a fresh interpreter that imports the bare package, then runs
+#: ``validate`` and a classify + eigensystem ``analyze`` on the document
+#: it is given, printing the matword submodules (and numpy) loaded after
+#: the import and after the runs
+IMPORT_SET = """
+import io, json, sys
+
+def loaded():
+    return sorted(name for name in sys.modules
+                  if name.startswith("matword.") or name == "numpy")
+
+import matword
+bare = loaded()
+from matword import cli
+codes = [cli.main(argv, stdout=io.StringIO(), stderr=io.StringIO()) for argv in (
+    ["validate", sys.argv[1]],
+    ["analyze", sys.argv[1], "--query", "classify", "--query", "eigensystem"])]
+print(json.dumps({"bare": bare, "codes": codes, "cli": loaded()}))
+"""
+
+
+def test_cli_loads_only_what_its_command_needs(tmp_path):
+    """``import matword`` loads no submodule and not numpy, and a
+    classify/eigensystem run never imports the modules of the word,
+    cone-map, q2 and corpus queries: each fresh CLI process would pay
+    for compiling them."""
+    seen = json.loads(_fresh_interpreter(IMPORT_SET, _golden_document(tmp_path)))
+    assert seen["bare"] == []
+    assert seen["codes"] == [0, 0]
+    assert "matword.structure" in seen["cli"]
+    unused = {"matword.words", "matword.conemaps", "matword.infinite", "matword.corpus"}
+    assert unused.isdisjoint(seen["cli"])
