@@ -105,26 +105,36 @@ def query_limit(ctx, args):
     if ok:
         fragment["xi"] = reporting.vector_to_doc(result.xi)
         M = words.word_product(ctx.collection, word)
-        try:
-            fragment["period"] = words.point_period(M, result.xi, cert.q)
-        except NotPeriodic as exc:
-            fragment["period_error"] = str(exc)
-            ok = False
+        ok = _record_period(fragment, lambda: words.point_period(M, result.xi, cert.q))
     return fragment, ok
 
 
+def _record_period(fragment, find):
+    """Record ``find()`` as the period, else its NotPeriodic text as period_error."""
+    try:
+        fragment["period"] = find()
+    except NotPeriodic as exc:
+        fragment["period_error"] = str(exc)
+        return False
+    return True
+
+
 def query_cone_limit(ctx, args):
+    import warnings
     from . import conemaps, words
     word = _word_from_arg(args.word, ctx.collection)
     y = _vector_arg(args.y, ctx.collection.n, "--y")
     if np.any(y <= 0):
         raise ParseError("--y must be strictly positive (interior point)")
     cert = words.word_period(ctx.collection, word, rho_tol=ctx.settings.rho_tol)
-    result = conemaps.cone_limit(
-        ctx.collection, word, y, cert.q,
-        tol=ctx.settings.tol, max_iter=ctx.settings.max_iter,
-        bound=ctx.settings.bound,
-    )
+    # a warning (log(y) outside LC(E')) belongs to this query's fragment
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = conemaps.cone_limit(
+            ctx.collection, word, y, cert.q,
+            tol=ctx.settings.tol, max_iter=ctx.settings.max_iter,
+            bound=ctx.settings.bound,
+        )
     fragment = {
         "word": word.names(ctx.collection),
         "factor_order": _factor_order(word, ctx.collection),
@@ -136,11 +146,14 @@ def query_cone_limit(ctx, args):
         "path_agreement": result.path_agreement,
         "tolerances": ctx.settings.as_dict(),
     }
-    if result.converged:
+    ok = result.converged
+    if ok:
         fragment["eta"] = reporting.vector_to_doc(result.eta)
-        fragment["period"] = conemaps.cone_point_period(ctx.collection, word,
-                                                        result.eta, cert.q)
-    return fragment, result.converged
+        ok = _record_period(fragment, lambda: conemaps.cone_point_period(
+            ctx.collection, word, result.eta, cert.q))
+    if caught:
+        fragment["warnings"] = [str(warning.message) for warning in caught]
+    return fragment, ok
 
 
 def query_classify(ctx, args):

@@ -243,10 +243,9 @@ def cone_limit(collection, word, y, q, tol=numeric.CONVERGENCE_TOL,
 
 
 def cone_point_period(collection, word, eta, q, tol=numeric.TUPLE_TOL):
-    """Smallest divisor d of q with f_w^d(eta) = eta (relative sup norm)."""
-    eta = np.asarray(eta, dtype=np.float64)
-    atol = tol * (1.0 + float(np.max(np.abs(eta))))
-    return words.first_period(_word_map(collection, word), eta, q, atol)
+    """Smallest divisor d of q with f_w^d(eta) = eta:
+    :func:`~matword.words.first_period` of f_w."""
+    return words.first_period(_word_map(collection, word), eta, q, tol)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numeric, structure, words
+from . import numeric, spectral, structure, words
 from .exceptions import (
     BudgetExhausted,
     HypothesesNotMet,
@@ -416,13 +416,11 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
     tol_scale = tol * (1.0 + float(np.max(np.abs(xi))))
 
     lambdas = np.zeros((collection.N, kappa), dtype=np.int64)
-    for j in range(kappa):
-        if j not in support:
-            continue  # column stays 0: trivial exponent for absent components
+    for j in support:  # columns off the support stay 0, the trivial exponent
         for r in range(collection.N):
             lam = system.lambda_table[j, r]
-            k = int(round(q * np.angle(lam) / (2 * np.pi))) % q
-            if abs(lam - np.exp(2j * np.pi * k / q)) > numeric.ORDER_TOL:
+            k = spectral.root_of_unity_exponent(lam, q)
+            if k is None:
                 raise NotRootOfUnity(
                     f"eigenvalue {lam} of matrix {collection.names[r]} is not "
                     f"a {q}-th root of unity"

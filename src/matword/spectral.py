@@ -91,19 +91,21 @@ def realify_all(values, tol):
                     values.real.astype(np.complex128), values)
 
 
-def _cluster(values, tol):
-    """Index groups of near-equal complex values.  Values arrive sorted by
-    the deterministic key, so a greedy sweep is enough at corpus
-    separations."""
-    clusters = []
+def cluster(values, tol):
+    """Greedy groups ``(value, member indices)`` of near-equal complex
+    values, made real where :func:`realify` allows: a value joins the first
+    earlier kept one within ``tol * max(1, |kept|)``, the one scaling of
+    ``tol``.  Sorted values make a greedy sweep enough at corpus separations."""
+    kept = []
     for index, value in enumerate(values):
-        for cluster in clusters:
-            if abs(values[cluster[0]] - value) <= tol:
-                cluster.append(index)
+        value = realify(value, tol)
+        for k, members in kept:
+            if abs(value - k) <= tol * max(1.0, abs(k)):
+                members.append(index)
                 break
         else:
-            clusters.append([index])
-    return clusters
+            kept.append((value, [index]))
+    return kept
 
 
 def _as_matrix(A):
@@ -187,12 +189,12 @@ def _pairs(A, vals, vecs):
 
     columns = []
     fields = []
-    for number, cluster in enumerate(_cluster(vals, cluster_tol)):
-        algebraic = len(cluster)
+    for number, (_, members) in enumerate(cluster(vals, numeric.CLUSTER_TOL)):
+        algebraic = len(members)
         if algebraic == 1:
-            basis = vecs[:, cluster]
+            basis = vecs[:, members]
         else:
-            mu = realify(np.mean(vals[cluster]), cluster_tol)
+            mu = realify(np.mean(vals[members]), cluster_tol)
             basis = _cluster_basis(A, mu, cluster_tol, norm_scale)
         geometric = min(basis.shape[1], algebraic)
         columns.append(basis[:, :geometric])
@@ -236,6 +238,16 @@ def root_of_unity_order(value, max_order, tol=numeric.ORDER_TOL):
     return None
 
 
+def root_of_unity_exponent(value, q):
+    """k with value = exp(2 pi i k / q) from the :func:`root_of_unity_order`
+    d of value: (q / d) (round(d arg(value) / 2 pi) mod d); None unless d
+    divides q."""
+    d = root_of_unity_order(value, q)
+    if d is None or q % d:
+        return None
+    return q // d * (int(round(d * np.angle(value) / (2 * np.pi))) % d)
+
+
 @dataclass(frozen=True)
 class PeripheralReport:
     """Peripheral spectrum of a nonnegative matrix.
@@ -255,10 +267,10 @@ class PeripheralReport:
 def peripheral_period(A, rho_tol=numeric.CLUSTER_TOL):
     """Peripheral eigenvalues of a nonnegative matrix and the period q_r.
 
-    When rho(A) is within ``rho_tol`` of one, every peripheral eigenvalue is
-    tested for a root-of-unity order up to the matrix dimension; theory
-    guarantees such an order exists, so a miss raises
-    :class:`~matword.exceptions.NotRootOfUnity`.
+    When rho(A) is within ``rho_tol`` of one, every peripheral eigenvalue
+    lambda is tested, as lambda / rho, for a root-of-unity order up to the
+    matrix dimension; theory guarantees such an order exists, so a miss
+    raises :class:`~matword.exceptions.NotRootOfUnity`.
     """
     A = numeric.require_nonnegative(
         numeric.require_square(np.asarray(A, dtype=np.float64)))
@@ -271,11 +283,10 @@ def _peripheral_report(pairs, rho, n, rho_tol):
     a nonnegative n x n matrix and its radius ``rho``, from one ``eig``."""
     scale = numeric.CLUSTER_TOL * max(1.0, rho)
     peripheral = tuple(p for p in pairs if abs(abs(p.eigenvalue) - rho) <= scale)
-    if abs(rho - 1.0) <= rho_tol:
+    if 0.0 < rho and abs(rho - 1.0) <= rho_tol:  # rho = 0 is subcritical in any band
         orders = []
         for p in peripheral:
-            d = root_of_unity_order(p.eigenvalue, max_order=n,
-                                    tol=scale * numeric.SLACK)
+            d = root_of_unity_order(p.eigenvalue / rho, max_order=n)
             if d is None:
                 raise NotRootOfUnity(
                     f"peripheral eigenvalue {p.eigenvalue} of a spectral-radius-one "

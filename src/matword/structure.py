@@ -231,22 +231,6 @@ class CommonEigenSystem:
         return np.column_stack(self.vectors)
 
 
-def _groups(values, tol):
-    """``(value, member indices)`` for the values made real where
-    :func:`~matword.spectral.realify` allows: a value within
-    ``tol * max(1, |kept|)`` of an earlier kept one joins its members."""
-    kept = []
-    for index, value in enumerate(values):
-        value = spectral.realify(value, tol)
-        for k, members in kept:
-            if abs(value - k) <= tol * max(1.0, abs(k)):
-                members.append(index)
-                break
-        else:
-            kept.append((value, [index]))
-    return kept
-
-
 def _first_basis(A, lam, group, cut):
     """Basis of the eigenspace of A at lam.  When ``group``, the eigenpairs
     of A near lam, is one whole cluster of its eigendecomposition, that is
@@ -282,7 +266,7 @@ def _refine(matrices, tol, first_pairs):
     n = first.shape[0]
     cut = tol * max(1.0, _max_abs(first)) * n
     subspaces = []
-    for lam, members in _groups([p.eigenvalue for p in first_pairs], tol):
+    for lam, members in spectral.cluster([p.eigenvalue for p in first_pairs], tol):
         basis = _first_basis(first, lam, [first_pairs[i] for i in members], cut)
         if basis.shape[1]:
             subspaces.append((basis, [lam]))
@@ -298,7 +282,7 @@ def _refine(matrices, tol, first_pairs):
                 if numeric.vector_norm(stacked[:, 0]) <= tol * scale:
                     survivors.append((Q, lams + [mu]))
                 continue
-            for mu, _ in _groups(spectral.eigenvalues(M), tol):
+            for mu, _ in spectral.cluster(spectral.eigenvalues(M), tol):
                 stacked = np.vstack([M - mu * np.eye(M.shape[0], dtype=M.dtype), G])
                 _, Z = numeric.rank_and_nullspace(stacked, tol=tol * scale)
                 if Z.shape[1]:

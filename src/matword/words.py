@@ -176,15 +176,18 @@ def iterate_to_fixed_point(step, z, tol, max_iter, bound):
     return z, int(max_iter), residual, "max_iter"
 
 
-def first_period(step, z, q, atol):
-    """Smallest divisor d of q with step^d(z) within ``atol`` of z in sup
-    norm, or None when even d = q fails."""
+def first_period(step, z, q, tol=numeric.TUPLE_TOL):
+    """Smallest divisor d of q with step^d(z) within ``tol * (1 + |z|)`` of
+    z in sup norm; :class:`~matword.exceptions.NotPeriodic` when even d = q
+    fails, i.e. z was not a q-periodic point to begin with."""
+    z = np.asarray(z, dtype=np.float64)
+    atol = tol * (1.0 + float(np.max(np.abs(z))))
     image = z
     for d in range(1, int(q) + 1):
         image = step(image)
         if q % d == 0 and float(np.max(np.abs(image - z))) <= atol:
             return d
-    return None
+    raise NotPeriodic(f"vector is not {q}-periodic within tolerance {atol}")
 
 
 def limit_point(collection, word, x, q, tol=numeric.CONVERGENCE_TOL,
@@ -251,16 +254,6 @@ def spectral_limit(system, coeffs):
 
 
 def point_period(M, xi, q, tol=numeric.TUPLE_TOL):
-    """Smallest divisor d of q with M^d xi = xi (sup-norm tolerance).
-
-    Raises :class:`~matword.exceptions.NotPeriodic` when even d = q fails,
-    i.e. xi was not a q-periodic point to begin with.
-    """
+    """Smallest divisor d of q with M^d xi = xi: :func:`first_period` of M."""
     M = numeric.require_square(np.asarray(M))
-    xi = np.asarray(xi, dtype=np.float64)
-    scale = float(np.max(np.abs(xi))) if xi.size else 0.0
-    atol = tol * (1.0 + scale)
-    period = first_period(lambda z: numeric.mat_vec(M, z), xi, q, atol)
-    if period is None:
-        raise NotPeriodic(f"vector is not {q}-periodic within tolerance {atol}")
-    return period
+    return first_period(lambda z: numeric.mat_vec(M, z), xi, q, tol)

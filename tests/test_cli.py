@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,25 @@ def test_cone_limit_query(ex2_path):
     assert fragment["status"] == "converged"
     np.testing.assert_allclose(fragment["eta"], np.ones(6), atol=1e-10)
     assert fragment["path_agreement"] <= 1e-8
+    assert "warnings" not in fragment
+
+
+def test_cone_limit_warning_goes_into_the_fragment(tmp_path):
+    """log(y) outside LC(E') is reported in the fragment, not printed by
+    Python's warning machinery on stderr."""
+    path = tmp_path / "swaps.json"
+    path.write_text(json.dumps({"dimension": 3, "matrices": {
+        "A": [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+        "B": [[1, 0, 0], [0, 0, 1], [0, 1, 0]]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["cone-limit", str(path), "--word", "AB",
+                                  "--y", "1,2,3", "--max-iter", "1000",
+                                  "--format", "machine"])
+    assert code == 4 and "UserWarning" not in err
+    fragment = json.loads(out)["queries"][0]
+    assert fragment["warnings"] == [
+        "log(y) is not in LC(E'); cone limit may not converge"]
 
 
 def test_eigensystem_query(ex2_path):
@@ -338,6 +358,36 @@ def test_limit_that_is_not_periodic_exit_4(tmp_path):
     fragment = json.loads(out)["queries"][0]
     assert fragment["status"] == "converged" and "period" not in fragment
     assert fragment["period_error"].startswith("vector is not 1-periodic")
+
+
+def test_cone_limit_that_is_not_periodic_exit_4(tmp_path):
+    # at --tol 1e-3 the cone limit of the mixing walk stops short of its
+    # fixed point, so cone-limit reports the miss as limit does
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps({"dimension": 2, "matrices": {
+        "A": [[0.9, 0.1], [0.1, 0.9]]}}))
+    code, out, _ = run_cli(["cone-limit", str(path), "--word", "A", "--y", "1,2",
+                            "--tol", "1e-3", "--format", "machine"])
+    assert code == 4
+    fragment = json.loads(out)["queries"][0]
+    assert fragment["status"] == "converged" and "period" not in fragment
+    assert fragment["period_error"].startswith("vector is not 1-periodic")
+
+
+def test_radius_inside_the_rho_tol_band_counts_as_one(tmp_path):
+    """rho(A) = 1 - 5e-7 passes --rho-tol 1e-6, so its peripheral
+    eigenvalue is tested as lambda / rho: q_r = 1, not NotRootOfUnity."""
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps({"dimension": 2, "matrices": {
+        "A": [[0.9999995, 0], [0, 0.5]], "B": [[1, 0], [0, 1]]}}))
+    code, out, _ = run_cli(["analyze", str(path), "--rho-tol", "1e-6",
+                            "--query", "limit --word AB --x 0,1",
+                            "--query", "q2 --tau periodic:AB --x 0,1",
+                            "--format", "machine"])
+    assert code == 0
+    limit, q2 = json.loads(out)["queries"]
+    assert limit["q_r"] == {"A": 1, "B": 1} and limit["period"] == 1
+    assert q2["q"] == 1 and q2["all_residues_zero"]
 
 
 def test_quasi_commuting_pair_classifies_without_force(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from helpers import bits_equal, random_commuting_collection, random_covering_word
 from matword import conemaps, corpus, numeric, structure, words
 from matword.collection import MatrixCollection
-from matword.exceptions import BoundaryPoint
+from matword.exceptions import BoundaryPoint, NotPeriodic
 from test_acceptance import SEED_SPECTRAL_VS_ITERATIVE
 
 ENTRIES = corpus.build_corpus()
@@ -295,11 +295,12 @@ def test_cone_limit_past_bound_diverges():
     assert result.status == "diverged"
 
 
-def test_cone_point_period_none_when_not_periodic():
+def test_cone_point_period_raises_when_not_periodic():
     coll = MatrixCollection(names=("A",), matrices=(np.array([[0.0, 1.0], [1.0, 0.0]]),))
     w = words.Word.from_names("A", coll)
     assert conemaps.cone_point_period(coll, w, np.array([1.0, 2.0]), 2) == 2
-    assert conemaps.cone_point_period(coll, w, np.array([1.0, 2.0]), 1) is None
+    with pytest.raises(NotPeriodic, match="not 1-periodic"):
+        conemaps.cone_point_period(coll, w, np.array([1.0, 2.0]), 1)
 
 
 def test_word_maps_ignore_an_unused_negative_letter():

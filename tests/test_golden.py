@@ -105,7 +105,6 @@ def test_paper_examples_golden():
     assert out == (GOLDEN / "paper-examples.txt").read_text()
 
 
-@pytest.mark.filterwarnings("ignore:log\\(y\\) is not in LC")
 @pytest.mark.parametrize("name,example,flags,queries", CASES,
                          ids=[case[0] for case in CASES])
 def test_analyze_golden(tmp_path, name, example, flags, queries):

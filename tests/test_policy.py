@@ -1,6 +1,7 @@
 """The tolerance policy lives in ``numeric``: no other module writes a
 small threshold literal, and the report defaults read the named values.
-Each LAPACK factorisation runs at one documented site, every function
+Each LAPACK factorisation and each verdict rule (eigenvalue clustering,
+root-of-unity order, point period) runs at one documented site, every function
 the benchmark's tracer patches by name exists, and ``__all__`` lists the
 package's public names.  The CLI runs with numpy as its only import outside
 the standard library."""
@@ -65,6 +66,43 @@ def einsum_calls():
 
 def test_no_einsum_outside_numeric():
     assert einsum_calls() == []
+
+
+#: the one site of each verdict rule: (file, enclosing top-level
+#: function, rule); a greedy clustering sweep is a ``for`` with an ``else``
+VERDICT_SITES = {
+    ("spectral.py", "cluster", "for-else"),
+    ("spectral.py", "root_of_unity_order", "ORDER_TOL"),
+    ("spectral.py", "root_of_unity_exponent", "angle"),
+    ("words.py", "first_period", "raise NotPeriodic"),
+}
+
+
+def verdict_sites():
+    """``(file, enclosing top-level function, rule)`` for every greedy
+    clustering sweep, every use of ``ORDER_TOL`` or ``angle`` and every
+    ``raise NotPeriodic``, so each verdict keeps one implementation."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in ast.iter_child_nodes(tree):
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = node.attr if isinstance(node, ast.Attribute) else (
+                    node.id if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load) else None)
+                if name in ("ORDER_TOL", "angle"):
+                    found.add((path.name, owner, name))
+                elif isinstance(node, ast.For) and node.orelse:
+                    found.add((path.name, owner, "for-else"))
+                elif (isinstance(node, ast.Raise) and node.exc is not None
+                      and "NotPeriodic" in ast.unparse(node.exc)):
+                    found.add((path.name, owner, "raise NotPeriodic"))
+    return found
+
+
+def test_each_verdict_rule_has_one_site():
+    assert verdict_sites() == VERDICT_SITES
 
 
 def test_tolerance_settings_default_to_the_named_policy():

@@ -64,6 +64,21 @@ def test_root_of_unity_order():
     assert spectral.root_of_unity_order(1.0, 1) == 1
 
 
+def test_root_of_unity_exponent():
+    """k with lambda = exp(2 pi i k / q), when lambda's order divides q."""
+    assert spectral.root_of_unity_exponent(1j, 8) == 2
+    assert spectral.root_of_unity_exponent(-1j, 4) == 3
+    assert spectral.root_of_unity_exponent(np.exp(2j * np.pi * 5 / 6), 12) == 10
+    assert spectral.root_of_unity_exponent(1.0, 3) == 0
+    assert spectral.root_of_unity_exponent(1j, 6) is None  # order 4 does not divide 6
+    assert spectral.root_of_unity_exponent(0.9, 4) is None
+
+
+def test_zero_radius_is_subcritical_in_any_band():
+    report = spectral.peripheral_period(np.zeros((2, 2)), rho_tol=1.0)
+    assert report.rho == 0.0 and report.q_r == 1
+
+
 def test_peripheral_period_example2():
     report = spectral.peripheral_period(ENTRIES["example2"].collection["A"])
     assert report.q_r == 4
