@@ -181,9 +181,9 @@ def query_q2(ctx, args):
             raise ParseError(f"--budget {args.budget} must be from 1 to "
                              f"{numeric.MAX_BUDGET}") from None
     cert = infinite.q2_certificate(
-        ctx.collection, tau, x,
-        search_budget=args.budget, limit_tol=ctx.settings.tol,
-        rho_tol=ctx.settings.rho_tol,
+        ctx.collection, tau, x, search_budget=args.budget,
+        limit_tol=ctx.settings.tol, rho_tol=ctx.settings.rho_tol,
+        max_iter=ctx.settings.max_iter, bound=ctx.settings.bound,
     )
     fragment = {
         "tau": tau.description(),

@@ -242,10 +242,10 @@ def cone_limit(collection, word, y, q, tol=numeric.CONVERGENCE_TOL,
     return ConeLimitResult(z, iterations, residual, status, agreement)
 
 
-def cone_point_period(collection, word, eta, q, tol=numeric.TUPLE_TOL):
+def cone_point_period(collection, word, eta, q):
     """Smallest divisor d of q with f_w^d(eta) = eta:
     :func:`~matword.words.first_period` of f_w."""
-    return words.first_period(_word_map(collection, word), eta, q, tol)
+    return words.first_period(_word_map(collection, word), eta, q)
 
 
 @dataclass(frozen=True)

@@ -191,9 +191,9 @@ def a_tilde(collection, word, q, x, tol=numeric.CONVERGENCE_TOL,
     return OrbitTuple(components=_orbit_rows(M, result.xi, q), q=int(q))
 
 
-def _check_q2_hypotheses(collection, tol):
+def _check_q2_hypotheses(collection):
     for r, s, C, scale in structure.pair_table(collection)[1]:
-        if not structure._commutes(C, scale, tol):
+        if not structure._commutes(C, scale):
             raise HypothesesNotMet(
                 f"matrices {collection.names[r]} and {collection.names[s]} "
                 "do not commute"
@@ -352,15 +352,16 @@ def check_budget(search_budget):
     return budget
 
 
-def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL,
-                   limit_tol=numeric.CONVERGENCE_TOL, rho_tol=numeric.CLUSTER_TOL):
+def q2_certificate(collection, tau, x, search_budget=None,
+                   limit_tol=numeric.CONVERGENCE_TOL, rho_tol=numeric.CLUSTER_TOL,
+                   max_iter=numeric.MAX_ITER, bound=numeric.BOUND):
     """Search for prefix lengths with equal orbit tuples and extract the
     congruence witness.
 
-    Requires the collection to be pairwise commuting with every matrix
-    diagonalizable; then xi and the tuple sequence are well defined for
-    every x, the tuple takes at most q**kappa values, and a budget of
-    q**kappa + 1 evaluations always finds a repeat.
+    Requires the collection to be pairwise commuting, by the test of
+    ``validate``, with every matrix diagonalizable; then xi and the tuple
+    sequence are well defined for every x, the tuple takes at most
+    q**kappa values, and q**kappa + 1 evaluations always find a repeat.
 
     Integer keys decide and floats check: the orbit tuple at prefix p
     depends only on the key sum_r lambdas[r, j] * Phi_r(p) mod q, so the
@@ -374,29 +375,29 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
     are then formed and grouped once per class (:func:`_choose_prefixes`).
 
     Floats check one tuple per residue class.  Every letter must fix xi
-    under its q-th power, |A_r^q xi - xi| <= tol * (1 + |xi|); then, the
-    family commuting, the tuple at prefix p depends only on its residue
+    under its q-th power, |A_r^q xi - xi| <= TUPLE_TOL * (1 + |xi|); then,
+    the family commuting, the tuple at prefix p depends only on its residue
     class.  Each class of the chosen group, in order of first prefix, has
     its tuple formed from powers A_r^k with k < q, and it must lie within
-    tol * (1 + |xi|) of the first chosen prefix's.  A miss of either check
-    raises HypothesesNotMet.  The float work is O(N * q + classes * N)
+    TUPLE_TOL * (1 + |xi|) of the first chosen prefix's.  A miss of either
+    check raises HypothesesNotMet.  The float work is O(N * q + classes * N)
     matrix products whatever the budget.
 
-    ``rho_tol`` is the spectral-radius band of
-    :func:`~matword.words.global_period`, which gives q.  The default
-    budget is min(q**kappa + 1, MAX_BUDGET); an explicit one outside
-    [1, MAX_BUDGET] raises ValueError (:func:`check_budget`) before any
-    work is done.
+    ``rho_tol`` is the radius band of :func:`~matword.words.global_period`,
+    which gives q; ``limit_tol``, ``max_iter`` and ``bound`` are those of
+    the limit xi (:func:`a_tilde`).  The default budget is
+    min(q**kappa + 1, MAX_BUDGET); an explicit one outside [1, MAX_BUDGET]
+    raises ValueError (:func:`check_budget`) before any work is done.
     """
     if search_budget is not None:
         search_budget = check_budget(search_budget)
-    _check_q2_hypotheses(collection, tol=tol * numeric.SLACK)
+    _check_q2_hypotheses(collection)
     system = structure.common_eigenvectors(collection)
     cert = words.global_period(collection, rho_tol=rho_tol)
     q, kappa = cert.q, system.kappa
     m = tau.m
 
-    coeffs = structure.lc_membership(x, system, tol=numeric.LC_TOL)
+    coeffs = structure.lc_membership(x, system)
     if coeffs is None:
         raise HypothesesNotMet(
             "x is not expressible over the common eigenvectors; the "
@@ -411,9 +412,10 @@ def q2_certificate(collection, tau, x, search_budget=None, tol=numeric.TUPLE_TOL
         search_budget = min(q**kappa + 1, MAX_BUDGET)
 
     # xi via the defining iterative route, on the first covering prefix
-    first = a_tilde(collection, tau.prefix(m), q, x, tol=limit_tol)
+    first = a_tilde(collection, tau.prefix(m), q, x, tol=limit_tol,
+                    max_iter=max_iter, bound=bound)
     xi = first.xi
-    tol_scale = tol * (1.0 + float(np.max(np.abs(xi))))
+    tol_scale = numeric.TUPLE_TOL * (1.0 + float(np.max(np.abs(xi))))
 
     lambdas = np.zeros((collection.N, kappa), dtype=np.int64)
     for j in support:  # columns off the support stay 0, the trivial exponent
@@ -469,8 +471,7 @@ def tuple_first_component_stability(collection, tau, x, p_range):
     limit is a hypothesis violation and raises rather than returning a
     bool.
     """
-    tol = numeric.TUPLE_TOL
-    _check_q2_hypotheses(collection, tol=tol * numeric.SLACK)
+    _check_q2_hypotheses(collection)
     cert = words.global_period(collection)
     ps = sorted(int(p) for p in p_range)
     if not ps:
@@ -482,6 +483,6 @@ def tuple_first_component_stability(collection, tau, x, p_range):
             reference = tup.xi
             scale = 1.0 + float(np.max(np.abs(reference)))
             continue
-        if float(np.max(np.abs(tup.xi - reference))) > tol * scale:
+        if float(np.max(np.abs(tup.xi - reference))) > numeric.TUPLE_TOL * scale:
             return False
     return True

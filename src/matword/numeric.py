@@ -27,7 +27,7 @@ CONJ_TOL = 1e-10         # literal conjugate eigenvectors
 LC_TOL = 1e-6            # LC membership residual and coefficient cut
 EXPONENT_TOL = 1e-12     # homogeneity exponent equal to one
 PIVOT_SLACK = 1e-6       # canonical-phase pivot, relative to the largest entry
-SLACK = 10               # factor for a re-check of a verdict made at a tolerance
+SLACK = 10               # factor for the common-eigenvector residual check
 MAX_ITER = 100_000       # iteration cap of every fixed-point loop
 BOUND = 1e12             # divergence bound of every fixed-point loop
 MAX_BUDGET = 100_000     # cap on the prefix evaluations of one q2 search

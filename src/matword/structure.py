@@ -103,26 +103,26 @@ def _scale(A, B, pair=("A", "B")):
     return scale
 
 
-def _commutes(C, scale, tol):
-    """The commuting test: C = [A, B] at most ``tol * scale`` in max norm."""
-    return _max_abs(C) <= tol * scale
+def _commutes(C, scale):
+    """The commuting test of ``validate`` and q2: |C|_max <= RANK_TOL * scale."""
+    return _max_abs(C) <= numeric.RANK_TOL * scale
 
 
-def _commutes_with_commutator(M, C, scale, tol):
+def _commutes_with_commutator(M, C, scale):
     """The quasi-commuting side test for M, a member of the pair with
-    commutator ``C`` and :func:`_scale` ``scale``."""
-    return _max_abs(commutator(M, C)) <= tol * scale * max(1.0, _max_abs(M))
+    commutator ``C`` and :func:`_scale` ``scale``: M commutes with C at the
+    scale times max(1, |M|)."""
+    return _commutes(commutator(M, C), scale * max(1.0, _max_abs(M)))
 
 
 def _classification(A, B, C, scale):
     """:class:`PairClassification` of the pair A, B from its commutator C
     and :func:`_scale`."""
-    tol = numeric.RANK_TOL
-    quasi = (_commutes_with_commutator(A, C, scale, tol)
-             and _commutes_with_commutator(B, C, scale, tol))
+    quasi = (_commutes_with_commutator(A, C, scale)
+             and _commutes_with_commutator(B, C, scale))
     rank, basis = _rank_and_shemesh(A, B, C, scale)
     return PairClassification(
-        commuting=_commutes(C, scale, tol),
+        commuting=_commutes(C, scale),
         quasi_commuting=quasi,
         laffey=rank == 1,
         shemesh_dimension=basis.shape[1],
@@ -192,8 +192,7 @@ def is_quasi_commuting(collection):
     names = collection.names
     for r, s, C, scale in pair_table(collection)[1]:
         for side in (r, s):
-            if not _commutes_with_commutator(collection.matrices[side], C, scale,
-                                             numeric.RANK_TOL):
+            if not _commutes_with_commutator(collection.matrices[side], C, scale):
                 return False, (names[r], names[s], names[side])
     return True, None
 
@@ -214,7 +213,6 @@ class CommonEigenSystem:
     lambda_table: np.ndarray
     kappa: int
     s2_pairs: tuple
-    tol: float
 
     @property
     def d(self):
@@ -333,18 +331,19 @@ def _sort_key(lams, kappa_member, vector):
     return tuple(head + tail + [vector.tobytes()])
 
 
-def common_eigenvectors(collection, tol=numeric.CLUSTER_TOL):
-    """Compute E', the eigenvalue table, kappa, and the conjugate pairs.
+def common_eigenvectors(collection):
+    """Compute E', the eigenvalue table, kappa, and the conjugate pairs
+    at ``CLUSTER_TOL``.
 
     The result is empty (d = 0) when the collection has no common
-    eigenvectors; that is a value, not an error.  It is computed once per
-    collection and ``tol``.
+    eigenvectors; that is a value, not an error.  It is computed once.
     """
-    return collection._memoised(("common_eigenvectors", tol),
-                                lambda: _common_eigenvectors(collection, tol))
+    return collection._memoised(("common_eigenvectors",),
+                                lambda: _common_eigenvectors(collection))
 
 
-def _common_eigenvectors(collection, tol):
+def _common_eigenvectors(collection):
+    tol = numeric.CLUSTER_TOL
     subspaces = _refine(collection.matrices, tol, collection._eigenpairs(0))
     V = spectral.canonical_phases(
         np.hstack([Q for Q, _ in subspaces]) if subspaces
@@ -396,7 +395,6 @@ def _common_eigenvectors(collection, tol):
         lambda_table=table,
         kappa=kappa,
         s2_pairs=tuple(s2),
-        tol=tol,
     )
 
 
@@ -409,7 +407,7 @@ class LCCoefficients:
     residual: float
 
 
-def lc_membership(x, system, tol=None):
+def lc_membership(x, system, tol=numeric.LC_TOL):
     """Least-squares test of x against span(E') with the LC constraints.
 
     Returns :class:`LCCoefficients` when the residual is at most
@@ -418,7 +416,6 @@ def lc_membership(x, system, tol=None):
     """
     if system.d == 0:
         raise ValueError("common eigensystem is empty")
-    tol = system.tol if tol is None else tol
     x = numeric.require_finite(np.asarray(x, dtype=np.float64), what="vector")
     V = numeric.require_finite(system.basis_matrix())
     alphas, *_ = np.linalg.lstsq(V, x.astype(np.complex128), rcond=None)

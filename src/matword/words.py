@@ -120,18 +120,20 @@ class OrbitBoundReport:
 
 
 def orbit_bounded(collection, word, x, horizon=10_000, bound=1e6):
-    """Iterate x -> A_w x and report the first step whose sup-norm exceeds
-    ``bound``, or that the orbit stayed bounded over the horizon."""
+    """Iterate x -> A_w x and report the first step whose sup-norm is past
+    ``bound`` or not finite, as :func:`iterate_to_fixed_point` diverges,
+    or that the orbit stayed bounded over the horizon."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     M = word_product(collection, word)
     z = np.asarray(x, dtype=np.float64).copy()
     max_norm = float(np.max(np.abs(z))) if z.size else 0.0
+    limit = bound if bound < _LARGEST else _LARGEST
     for k in range(1, int(horizon) + 1):
         z = numeric.mat_vec(M, z)
         nrm = float(np.max(np.abs(z)))
         max_norm = max(max_norm, nrm)
-        if nrm > bound:
+        if not nrm <= limit:
             return OrbitBoundReport(False, k, max_norm)
     return OrbitBoundReport(True, None, max_norm)
 
@@ -176,12 +178,12 @@ def iterate_to_fixed_point(step, z, tol, max_iter, bound):
     return z, int(max_iter), residual, "max_iter"
 
 
-def first_period(step, z, q, tol=numeric.TUPLE_TOL):
-    """Smallest divisor d of q with step^d(z) within ``tol * (1 + |z|)`` of
-    z in sup norm; :class:`~matword.exceptions.NotPeriodic` when even d = q
-    fails, i.e. z was not a q-periodic point to begin with."""
+def first_period(step, z, q):
+    """Smallest divisor d of q with step^d(z) within ``TUPLE_TOL * (1 + |z|)``
+    of z in sup norm; :class:`~matword.exceptions.NotPeriodic` when even
+    d = q fails, i.e. z was not a q-periodic point to begin with."""
     z = np.asarray(z, dtype=np.float64)
-    atol = tol * (1.0 + float(np.max(np.abs(z))))
+    atol = numeric.TUPLE_TOL * (1.0 + float(np.max(np.abs(z))))
     image = z
     for d in range(1, int(q) + 1):
         image = step(image)
@@ -253,7 +255,7 @@ def spectral_limit(system, coeffs):
     return np.real(out)
 
 
-def point_period(M, xi, q, tol=numeric.TUPLE_TOL):
+def point_period(M, xi, q):
     """Smallest divisor d of q with M^d xi = xi: :func:`first_period` of M."""
     M = numeric.require_square(np.asarray(M))
-    return first_period(lambda z: numeric.mat_vec(M, z), xi, q, tol)
+    return first_period(lambda z: numeric.mat_vec(M, z), xi, q)

@@ -165,6 +165,20 @@ def test_cone_limit_warning_goes_into_the_fragment(tmp_path):
         "log(y) is not in LC(E'); cone limit may not converge"]
 
 
+def test_cone_limit_and_q2_share_the_lc_rule(tmp_path):
+    """E' = {e2}: log(y) = (1e-7, 0) is within LC_TOL of span(E'), the
+    rule q2 applies to x, so the cone limit carries no warning."""
+    path = tmp_path / "lc.json"
+    path.write_text(json.dumps({"dimension": 2, "matrices": {
+        "A": [[1, 0], [0, 0.5]], "B": [[1, 0], [0.25, 0.5]]}}))
+    code, out, _ = run_cli(["cone-limit", str(path), "--word", "AB",
+                            "--y", "1.0000001,1", "--format", "machine"])
+    assert code == 0
+    fragment = json.loads(out)["queries"][0]
+    assert fragment["status"] == "converged"
+    assert "warnings" not in fragment
+
+
 def test_eigensystem_query(ex2_path):
     code, out, _ = run_cli(["eigensystem", ex2_path, "--format", "machine"])
     assert code == 0
@@ -208,6 +222,37 @@ def test_q2_honours_rho_tol(tmp_path):
     assert code == 4
     assert fragment["error"] == (
         "SpectralRadiusViolation: rho(A) = 1.00000005 exceeds 1 + 1e-08")
+
+
+def test_q2_refuses_a_pair_that_classify_calls_noncommuting(tmp_path):
+    """q2 decides commuting by the test of validate: a pair 1e-9 away from
+    commuting classifies as none, and q2 refuses it before any limit."""
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"dimension": 2, "matrices": {
+        "A": [[0, 1], [1, 0]], "B": [[1, 0], [0, 0.999999999]]}}))
+    code, out, _ = run_cli(["analyze", str(path), "--force", "--query", "classify",
+                            "--query", "q2 --tau periodic:AB --x 1,2",
+                            "--format", "machine"])
+    assert code == 4
+    classify, q2 = json.loads(out)["queries"]
+    assert classify["pair_classifications"][0]["commuting"] is False
+    assert q2["error"] == "HypothesesNotMet: matrices A and B do not commute"
+
+
+def test_q2_honours_max_iter(tmp_path):
+    """--max-iter caps the limit q2 takes, as the fragment's tolerances say."""
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps({"dimension": 2, "matrices": {
+        "A": [[0.9, 0.1], [0.1, 0.9]]}}))
+    code, out, _ = run_cli(["analyze", str(path), "--max-iter", "1",
+                            "--query", "q2 --tau periodic:A --x 1,0",
+                            "--format", "machine"])
+    assert code == 4
+    report = json.loads(out)
+    assert report["tolerances"]["max_iter"] == 1
+    assert report["queries"][0]["error"] == (
+        "HypothesesNotMet: limit of x under word (0,) did not converge "
+        "(status max_iter)")
 
 
 def test_one_rho_per_letter_in_one_report(tmp_path):

@@ -1,9 +1,9 @@
 """The tolerance policy lives in ``numeric``: no other module writes a
 small threshold literal, and the report defaults read the named values.
 Each LAPACK factorisation and each verdict rule (eigenvalue clustering,
-root-of-unity order, point period) runs at one documented site, every function
-the benchmark's tracer patches by name exists, and ``__all__`` lists the
-package's public names.  The CLI runs with numpy as its only import outside
+root-of-unity order, point period, commuting, LC membership) runs at one
+documented site, every function the benchmark's tracer patches by name
+exists, and ``__all__`` lists the package's public names.  The CLI runs with numpy as its only import outside
 the standard library."""
 
 import argparse
@@ -69,19 +69,28 @@ def test_no_einsum_outside_numeric():
 
 
 #: the one site of each verdict rule: (file, enclosing top-level
-#: function, rule); a greedy clustering sweep is a ``for`` with an ``else``
+#: function, rule); a greedy clustering sweep is a ``for`` with an ``else``.
+#: ``RANK_TOL`` cuts ranks in ``_rank_and_shemesh`` and decides commuting
+#: in ``_commutes`` alone, for ``validate``, quasi-commuting and q2;
+#: ``LC_TOL`` is ``lc_membership``'s default and q2's support cut
 VERDICT_SITES = {
     ("spectral.py", "cluster", "for-else"),
     ("spectral.py", "root_of_unity_order", "ORDER_TOL"),
     ("spectral.py", "root_of_unity_exponent", "angle"),
     ("words.py", "first_period", "raise NotPeriodic"),
+    ("structure.py", "_rank_and_shemesh", "RANK_TOL"),
+    ("structure.py", "_commutes", "RANK_TOL"),
+    ("structure.py", "_common_eigenvectors", "SLACK"),
+    ("structure.py", "lc_membership", "LC_TOL"),
+    ("infinite.py", "q2_certificate", "LC_TOL"),
 }
 
 
 def verdict_sites():
     """``(file, enclosing top-level function, rule)`` for every greedy
-    clustering sweep, every use of ``ORDER_TOL`` or ``angle`` and every
-    ``raise NotPeriodic``, so each verdict keeps one implementation."""
+    clustering sweep, every use of ``ORDER_TOL``, ``angle``, ``RANK_TOL``,
+    ``SLACK`` or ``LC_TOL`` and every ``raise NotPeriodic``, so each
+    verdict keeps one implementation."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -91,7 +100,7 @@ def verdict_sites():
                 name = node.attr if isinstance(node, ast.Attribute) else (
                     node.id if isinstance(node, ast.Name)
                     and isinstance(node.ctx, ast.Load) else None)
-                if name in ("ORDER_TOL", "angle"):
+                if name in ("ORDER_TOL", "angle", "RANK_TOL", "SLACK", "LC_TOL"):
                     found.add((path.name, owner, name))
                 elif isinstance(node, ast.For) and node.orelse:
                     found.add((path.name, owner, "for-else"))

@@ -114,6 +114,19 @@ def test_orbit_bounded_permutation():
     assert report.bounded_so_far and report.max_norm == 1.0
 
 
+@pytest.mark.parametrize("x, bound, step", [
+    ((np.nan, 0.0), 1e6, 1),      # a NaN orbit is past every bound
+    ((1.0, 0.0), np.inf, 1024),   # 2^1024 overflows to inf
+])
+def test_orbit_bounded_diverges_as_limit_point_does(x, bound, step):
+    """A non-finite orbit is unbounded, the divergence rule of limit_point."""
+    coll = MatrixCollection(names=("A",), matrices=(np.diag([2.0, 0.0]),))
+    w, x = words.Word((0,)), np.array(x)
+    report = words.orbit_bounded(coll, w, x, bound=bound)
+    assert not report.bounded_so_far and report.exceeded_at == step
+    assert words.limit_point(coll, w, x, 1, bound=bound).status == "diverged"
+
+
 def test_limit_point_example1():
     coll = ENTRIES["example1"].collection
     result = words.limit_point(coll, words.Word((0,)), np.array([0.0, 1.0]), q=2)
